@@ -49,6 +49,8 @@ def digit_sum(q: int, n: int) -> int:
         raise DomainError(f"digit base must be at least 2, got {q}")
     if n < 0:
         raise DomainError(f"digit sum needs a nonnegative argument, got {n}")
+    if q == 2:
+        return n.bit_count()
     total = 0
     while n:
         n, r = divmod(n, q)

@@ -56,6 +56,8 @@ def _emit(args, command: str, parameters: dict, result, started: float) -> None:
 def _cmd_compute(args, started) -> int:
     b = parse_weight_spec(args.weight)
     params = {"weight": args.weight, "n": args.n, "q": args.q, "mod": args.mod}
+    if args.mod is not None and args.mod < 2:
+        raise DomainError(f"modulus must be at least 2, got {args.mod}")
     if args.q == 2:
         if args.mod is None:
             result = catalan.weighted_catalan(b, args.n)

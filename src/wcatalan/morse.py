@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import catalan, periodicity
 from .arith import digit_sum, is_prime, valuation
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .weights import WeightFunction
 
 __all__ = [
@@ -101,7 +101,9 @@ def _certified_valuations(
 
     Small n are handled with exact integers.  Larger n use residues modulo
     p^K: a nonzero residue pins the valuation exactly, and K doubles until
-    every residue in the window is nonzero.
+    every residue in the window is nonzero.  Rows still zero at the depth
+    cap (exact zeros, or valuations beyond it) are resolved from exact
+    values.
     """
     small = min(n_max, _SMALL_EXACT)
     exact = _expression_values(weight, expr, small)
@@ -110,18 +112,20 @@ def _certified_valuations(
     ]
     if n_max <= small:
         return vals
+    rows = range(small + 1, n_max + 1)
     exponent = _initial_exponent(p)
     while True:
         residues, _ = _expression_residues(weight, expr, p, exponent, n_max)
-        if all(residues[n] for n in range(small + 1, n_max + 1)):
-            vals.extend(valuation(p, residues[n]) for n in range(small + 1, n_max + 1))
-            return vals
+        zero_rows = [n for n in rows if not residues[n]]
+        if not zero_rows or p ** (2 * exponent) > 1 << _RESIDUE_BITS_MAX:
+            break
         exponent *= 2
-        if p**exponent > 1 << _RESIDUE_BITS_MAX:
-            raise ResourceLimitError(
-                f"a valuation in the window exceeds the certification depth"
-                f" {exponent // 2} base {p}"
-            )
+    vals.extend(valuation(p, residues[n]) if residues[n] else None for n in rows)
+    if zero_rows:
+        exact = _expression_values(weight, expr, zero_rows[-1])
+        for n in zero_rows:
+            vals[n] = valuation(p, exact[n]) if exact[n] else None
+    return vals
 
 
 @dataclass(frozen=True)
@@ -248,20 +252,21 @@ class PadicFit:
 
 
 def _capped_valuation(p: int, value: int, cap: int) -> int:
-    v = 0
-    while v < cap and value % p ** (v + 1) == 0:
-        v += 1
-    return v
+    return cap if value == 0 else min(valuation(p, value), cap)
 
 
 def _fit_violations(data, p: int, r: int, level: int) -> list[PadicConflict]:
+    # xi_p(d) = t < level  iff  p^t | d and p^(t+1) does not divide d
+    powers = [p**k for k in range(level + 1)]
     out = []
     for n, t in data:
-        observed = _capped_valuation(p, n - r, level)
-        expected = min(t, level)
-        consistent = observed == t if t < level else observed == level
+        d = n - r
+        if t < level:
+            consistent = d % powers[t] == 0 and d % powers[t + 1] != 0
+        else:
+            consistent = d % powers[level] == 0
         if not consistent:
-            out.append(PadicConflict(n, t, observed))
+            out.append(PadicConflict(n, t, _capped_valuation(p, d, level)))
     return out
 
 

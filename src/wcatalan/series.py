@@ -1,0 +1,175 @@
+"""Truncated power series over Z/mZ and the S-fraction residue engine.
+
+Polynomials are lists of coefficients, lowest degree first, reduced into
+[0, m).  Products go through Kronecker substitution: each operand is packed
+into one Python int with a fixed-width slot per coefficient, wide enough
+that no slot of the product overflows, so a single big-int multiply (done
+in C) replaces the quadratic coefficient loop.
+
+The weighted Catalan generating function is the S-fraction (Flajolet 1980)
+
+    C^b(x) = 1 / (1 - b_0 x / (1 - b_1 x / (1 - ...))),
+
+and its truncation after h levels counts exactly the paths that stay at
+or below height h.  Level k is the Moebius step y -> 1 / (1 - b_k x y),
+with matrix M_k = [[0, 1], [-b_k x, 1]]; so with M_0 M_1 ... M_{h-1} =
+[[A, B], [C, D]] the truncated fraction is (A + B) / (C + D).  A balanced
+product tree forms that product, and a Newton inverse (Sieveking 1972,
+Kung 1974) divides, in O(M(n) log h) for polynomial multiplication time
+M(n), against O(n h) for the Dyck DP in `_dyck_py`.
+"""
+
+from __future__ import annotations
+
+from ._dyck_py import check_dp_args
+
+__all__ = ["mul_mod", "inverse_mod", "dyck_series_mod"]
+
+# Blocks of at most this many S-fraction levels are multiplied out one level
+# at a time; above it, halves are combined by Kronecker products.
+_LEAF_LEVELS = 16
+
+
+def _slot_bytes(modulus: int, terms: int) -> int:
+    """Bytes per slot that hold a sum of two products of `terms`-term polynomials."""
+    bits = 2 * (modulus - 1).bit_length() + (2 * terms).bit_length()
+    return (bits + 7) // 8
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
+
+
+def _unpack(packed: int, width: int, count: int, modulus: int) -> list[int]:
+    if count <= 0:
+        return []
+    total = max(count, (packed.bit_length() + 8 * width - 1) // (8 * width))
+    data = packed.to_bytes(total * width, "little")
+    read = int.from_bytes
+    out = [read(data[i : i + width], "little") % modulus for i in range(0, count * width, width)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def mul_mod(f: list[int], g: list[int], modulus: int, size: int | None = None) -> list[int]:
+    """f * g over Z/mZ, keeping at most `size` terms; coefficients in [0, m).
+
+    Inputs must already lie in [0, m).  Trailing zeros are dropped.
+    """
+    if not f or not g:
+        return []
+    width = _slot_bytes(modulus, min(len(f), len(g)))
+    count = len(f) + len(g) - 1
+    if size is not None:
+        count = min(count, size)
+    return _unpack(_pack(f, width) * _pack(g, width), width, count, modulus)
+
+
+def inverse_mod(f: list[int], modulus: int, order: int) -> list[int]:
+    """First `order` coefficients of 1/f over Z/mZ; f[0] must be a unit.
+
+    Newton iteration g <- g + g (1 - f g) doubles the precision per step.
+    """
+    if order <= 0:
+        return []
+    g = [pow(f[0] if f else 0, -1, modulus)]
+    known = 1
+    while known < order:
+        target = min(2 * known, order)
+        # f g = 1 + O(x^known); its coefficients known..target-1 are the error
+        err = mul_mod(f[:target], g, modulus, target)[known:]
+        corr = mul_mod(g, err, modulus, target - known)
+        g = g + [0] * (known - len(g)) + [(modulus - c) % modulus for c in corr]
+        known = target
+    return g + [0] * (order - len(g))
+
+
+def _add(f: list[int], g: list[int], modulus: int) -> list[int]:
+    if len(f) < len(g):
+        f, g = g, f
+    out = f[:]
+    for i, c in enumerate(g):
+        out[i] = (out[i] + c) % modulus
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _shift_scale(c: int, f: list[int], modulus: int) -> list[int]:
+    """c x f(x) over Z/mZ."""
+    if not c or not f:
+        return []
+    out = [0] + [c * v % modulus for v in f]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _matrix(steps: list[int], lo: int, hi: int, modulus: int):
+    """M_lo M_(lo+1) ... M_(hi-1) as (A, B, C, D), with M_k = [[0, 1], [steps[k] x, 1]]."""
+    if hi - lo <= _LEAF_LEVELS:
+        a, b, c, d = [], [1], _shift_scale(steps[lo], [1], modulus), [1]
+        for k in range(lo + 1, hi):
+            s = steps[k]
+            # [[a, b], [c, d]] [[0, 1], [s x, 1]] = [[s x b, a + b], [s x d, c + d]]
+            a, b, c, d = (
+                _shift_scale(s, b, modulus), _add(a, b, modulus),
+                _shift_scale(s, d, modulus), _add(c, d, modulus),
+            )
+        return a, b, c, d
+    mid = (lo + hi) // 2
+    a1, b1, c1, d1 = _matrix(steps, lo, mid, modulus)
+    a2, b2, c2, d2 = _matrix(steps, mid, hi, modulus)
+    width = _slot_bytes(modulus, max(map(len, (a1, b1, c1, d1, a2, b2, c2, d2))))
+    pa1, pb1, pc1, pd1, pa2, pb2, pc2, pd2 = (
+        _pack(p, width) for p in (a1, b1, c1, d1, a2, b2, c2, d2)
+    )
+    la = max(len(a1) + len(a2), len(b1) + len(c2)) - 1
+    lb = max(len(a1) + len(b2), len(b1) + len(d2)) - 1
+    lc = max(len(c1) + len(a2), len(d1) + len(c2)) - 1
+    ld = max(len(c1) + len(b2), len(d1) + len(d2)) - 1
+    return (
+        _unpack(pa1 * pa2 + pb1 * pc2, width, la, modulus),
+        _unpack(pa1 * pb2 + pb1 * pd2, width, lb, modulus),
+        _unpack(pc1 * pa2 + pd1 * pc2, width, lc, modulus),
+        _unpack(pc1 * pb2 + pd1 * pd2, width, ld, modulus),
+    )
+
+
+def _fraction(steps: list[int], lo: int, hi: int, modulus: int):
+    """(A + B, C + D) for M_lo ... M_(hi-1): the product applied to (1, 1).
+
+    Only the left halves need whole matrices; the right spine carries the
+    vector, which is the bottom-up continued fraction y -> (v, v + s x u).
+    """
+    if hi - lo <= _LEAF_LEVELS:
+        u, v = [1], [1]
+        for k in range(hi - 1, lo - 1, -1):
+            u, v = v, _add(v, _shift_scale(steps[k], u, modulus), modulus)
+        return u, v
+    mid = (lo + hi) // 2
+    a, b, c, d = _matrix(steps, lo, mid, modulus)
+    u, v = _fraction(steps, mid, hi, modulus)
+    width = _slot_bytes(modulus, max(map(len, (a, b, c, d, u, v))))
+    pa, pb, pc, pd, pu, pv = (_pack(p, width) for p in (a, b, c, d, u, v))
+    lu = max(len(a) + len(u), len(b) + len(v)) - 1
+    lv = max(len(c) + len(u), len(d) + len(v)) - 1
+    return (
+        _unpack(pa * pu + pb * pv, width, lu, modulus),
+        _unpack(pc * pu + pd * pv, width, lv, modulus),
+    )
+
+
+def dyck_series_mod(bvals, n_max: int, modulus: int, height_cap: int | None = None) -> list[int]:
+    """Residues of the weighted Catalan numbers mod `modulus` for n = 0..n_max.
+
+    Same contract, validation and errors as `_dyck_py.dyck_dp` with a
+    modulus: with a height cap h, only paths staying at or below height h
+    are counted.
+    """
+    h_max = check_dp_args(bvals, n_max, modulus, height_cap)
+    steps = [-v % modulus for v in bvals[:h_max]]
+    numer, denom = _fraction(steps, 0, h_max, modulus)
+    out = mul_mod(numer, inverse_mod(denom, modulus, n_max + 1), modulus, n_max + 1)
+    return out + [0] * (n_max + 1 - len(out))

@@ -209,3 +209,23 @@ class TestExitCodes:
     def test_table_too_short_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--weight", "table:1,9", "--n", "5")
         assert code == 3
+
+    @pytest.mark.parametrize("q", ["2", "3"])
+    @pytest.mark.parametrize("mod", ["0", "1", "-5"])
+    def test_modulus_below_two_is_domain_error(self, capsys, q, mod):
+        code, _, err = run_cli(
+            capsys, "compute", "--weight", "preset:ones", "--n", "3", "--q", q, "--mod", mod
+        )
+        assert code == 3
+        assert "modulus must be at least 2" in err
+
+
+class TestZeroRows:
+    def test_residue_mode_agrees_with_exact_mode_on_exact_zeros(self, capsys):
+        argv = ["valuation", "--weight", "poly:0", "--p", "2", "--range"]
+        wide = run_json(capsys, *argv, "1..400")["result"]
+        exact = run_json(capsys, *argv, "1..300")["result"]
+        assert (wide["mode"], exact["mode"]) == ("residue", "exact")
+        assert [r["valuation"] for r in wide["rows"][:300]] == [
+            r["valuation"] for r in exact["rows"]
+        ] == [None] * 300

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcatalan.arith import digit_sum, series_divide, valuation
 from wcatalan.catalan import catalan_number, weighted_catalan_series_mod
 from wcatalan.errors import DomainError
 from wcatalan.morse import (
     MORSE,
+    _fit_violations,
     conjecture_report,
     fit_padic_alpha,
     mod3r_period_check,
@@ -109,6 +112,28 @@ class TestPadicFit:
         # a single n demanding two different depths is already contradictory
         fit2 = fit_padic_alpha([(4, 0), (4, 1)], 2, 3)
         assert not fit2.consistency and fit2.conflicts
+
+    @given(
+        p=st.sampled_from([2, 3, 5]),
+        r=st.integers(-50, 50),
+        level=st.integers(1, 5),
+        data=st.lists(st.tuples(st.integers(-200, 200), st.integers(0, 7)), max_size=30),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_violations_follow_the_capped_valuation(self, p, r, level, data):
+        def capped(d):
+            v = 0
+            while v < level and d % p ** (v + 1) == 0:
+                v += 1
+            return v
+
+        expected = [
+            (n, t, capped(n - r))
+            for n, t in data
+            if capped(n - r) != (t if t < level else level)
+        ]
+        got = [(c.n, c.expected, c.observed) for c in _fit_violations(data, p, r, level)]
+        assert got == expected
 
     def test_input_validation(self):
         with pytest.raises(DomainError):

@@ -1,0 +1,147 @@
+"""Parity of the S-fraction residue engine with the reference Dyck DP.
+
+`_dyck_py.dyck_dp` is the reference: the engine in `series` and the kernel
+switch in front of both must return the same residues and raise the same
+errors for every weight, modulus and height cap.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wcatalan import _dyck_py, kernel, series
+from wcatalan.errors import DomainError
+from wcatalan.weights import WeightFunction
+
+# Word-size moduli, powers of two, and the p^K moduli that certification
+# doubling reaches (up to 2^2048).
+MODULI = st.one_of(
+    st.integers(2, 2**62),
+    st.integers(1, 62).map(lambda k: 2**k),
+    st.sampled_from([2, 3, 5]).flatmap(
+        lambda p: st.integers(1, 2048 // p.bit_length()).map(lambda k: p**k)
+    ),
+)
+
+POLY_COEFFS = st.lists(st.integers(-60, 60), min_size=1, max_size=4)
+TABLE_VALUES = st.lists(
+    st.one_of(st.just(0), st.integers(-(10**6), 10**6), st.integers(-(2**80), 2**80)),
+    min_size=0,
+    max_size=200,
+)
+
+
+@st.composite
+def weights(draw, count):
+    """`count` weight values from a polynomial or a table, with negatives and zeros."""
+    if draw(st.booleans()):
+        return WeightFunction.polynomial(draw(POLY_COEFFS)).values(0, count)
+    table = draw(TABLE_VALUES)
+    return (table * (count // max(len(table), 1) + 1))[:count] if table else [0] * count
+
+
+@st.composite
+def cases(draw, n_max):
+    n = draw(n_max)
+    cap = draw(st.one_of(st.none(), st.integers(0, n + 2)))
+    return draw(weights(n + 2)), n, draw(MODULI), cap
+
+
+@given(cases(st.integers(0, 60)))
+@settings(max_examples=120, deadline=None)
+def test_engine_matches_dp(case):
+    bvals, n, m, cap = case
+    assert series.dyck_series_mod(bvals, n, m, cap) == _dyck_py.dyck_dp(bvals, n, m, cap)
+
+
+NEAR_CROSSOVER = st.integers(kernel.SERIES_MIN_TERMS - 8, kernel.SERIES_MIN_TERMS + 40)
+
+
+@st.composite
+def crossover_cases(draw):
+    n = draw(NEAR_CROSSOVER)
+    h = kernel.SERIES_MIN_HEIGHT
+    cap = draw(st.one_of(st.none(), st.integers(h - 4, h + 4), st.just(n)))
+    m = draw(st.one_of(MODULI, st.integers(2**63, 2**130)))
+    return draw(weights(n)), n, m, cap
+
+
+@given(crossover_cases())
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_dp_on_both_sides_of_the_crossover(case):
+    bvals, n, m, cap = case
+    assert kernel.dyck_dp_mod(bvals, n, m, cap) == _dyck_py.dyck_dp(bvals, n, m, cap)
+
+
+def test_crossover_selects_each_engine():
+    n, h = kernel.SERIES_MIN_TERMS, kernel.SERIES_MIN_HEIGHT
+    word = 1 << 61
+    assert kernel._series_wins(n, word, None)
+    assert kernel._series_wins(n, word, h)
+    assert not kernel._series_wins(n, word, h - 1)
+    assert not kernel._series_wins(n - 1, word, None)
+    # wider moduli need more terms before the tree pays off
+    assert not kernel._series_wins(4 * n - 1, 1 << 127, None)
+    assert kernel._series_wins(4 * n, 1 << 127, None)
+
+
+@given(weights(4), MODULI, st.one_of(st.none(), st.integers(-2, 4)))
+@settings(max_examples=40, deadline=None)
+def test_zero_terms(bvals, m, cap):
+    assert series.dyck_series_mod(bvals, 0, m, cap) == _dyck_py.dyck_dp(bvals, 0, m, cap) == [1]
+
+
+@pytest.mark.parametrize(
+    "bvals, n, m, cap",
+    [
+        ([1, 2], 5, 7, None),  # needs 5 values
+        ([1, 2], 300, 7, 20),  # needs 20 values, past the crossover
+        ([1] * 10, -1, 7, None),
+        ([1] * 10, 5, 1, None),
+        ([1] * 10, 5, 0, None),
+    ],
+)
+def test_engines_raise_the_same_errors(bvals, n, m, cap):
+    with pytest.raises(ValueError) as ref:
+        _dyck_py.dyck_dp(bvals, n, m, cap)
+    with pytest.raises(ValueError) as got:
+        series.dyck_series_mod(bvals, n, m, cap)
+    with pytest.raises(DomainError) as via_kernel:
+        kernel.dyck_dp_mod(bvals, n, m, cap)
+    assert str(got.value) == str(via_kernel.value) == str(ref.value)
+
+
+@given(cases(st.integers(0, 40)))
+@settings(max_examples=40, deadline=None)
+def test_dp_residues_reduce_the_exact_values(case):
+    bvals, n, m, cap = case
+    exact = _dyck_py.dyck_dp(bvals, n, None, cap)
+    assert _dyck_py.dyck_dp(bvals, n, m, cap) == [v % m for v in exact]
+
+
+def _schoolbook(f, g, m):
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % m
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+@given(MODULI, st.data())
+@settings(max_examples=60, deadline=None)
+def test_kronecker_product_matches_schoolbook(m, data):
+    coeffs = st.lists(st.integers(0, m - 1), max_size=40)
+    f, g = data.draw(coeffs), data.draw(coeffs)
+    assert series.mul_mod(f, g, m) == _schoolbook(f, g, m)
+
+
+@given(MODULI, st.data(), st.integers(0, 50))
+@settings(max_examples=60, deadline=None)
+def test_newton_inverse(m, data, order):
+    f = [1] + data.draw(st.lists(st.integers(0, m - 1), max_size=30))
+    g = series.inverse_mod(f, m, order)
+    assert len(g) == order
+    product = _schoolbook(f, g, m)[:order]
+    assert product + [0] * (order - len(product)) == ([1] + [0] * order)[:order]
