@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the three residue engines on the modular Dyck-path sweep.
+"""Benchmark the two residue engines on the modular Dyck-path sweep.
 
 Runs the modular DP (the hot loop behind valuation profiles and period
-detection) on the Morse weight at several sizes, through the pure-Python
-DP, the S-fraction product tree and, when built, the compiled DP, and
-prints each engine's best time and its speedup over the pure DP.
+detection) on the Morse weight at several sizes, through the Dyck DP and
+the S-fraction product tree, and prints each engine's best time and the
+tree's speedup over the DP.
 
 Usage: python benchmarks/bench_kernel.py [--sizes 512,1024,2048,4096]
 """
@@ -15,11 +15,6 @@ import time
 
 from wcatalan import _dyck_py, series
 from wcatalan.weights import WeightFunction
-
-try:
-    from wcatalan import _dyck_cy
-except ImportError:
-    _dyck_cy = None
 
 MODULUS = 1 << 60
 
@@ -42,24 +37,15 @@ def main(argv=None):
 
     morse = WeightFunction.preset("morse")
     print("modular Dyck-path sweep, modulus 2^60, weight (2x+1)^2; seconds (speedup)")
-    header = f"{'n_max':>6}  {'pure DP':>10}  {'series':>17}  {'cython':>17}"
+    header = f"{'n_max':>6}  {'Dyck DP':>10}  {'series':>17}"
     print(header)
     print("-" * len(header))
     for n in sizes:
         bvals = morse.values(0, n)
-        t_pure, r_pure = bench(_dyck_py.dyck_dp, bvals, n)
+        t_dp, r_dp = bench(_dyck_py.dyck_dp, bvals, n)
         t_tree, r_tree = bench(series.dyck_series_mod, bvals, n)
-        assert r_tree == r_pure, "series engine disagrees with the DP"
-        cells = [f"{t_tree:>8.3f} ({t_pure / t_tree:>5.1f}x)"]
-        if _dyck_cy is None:
-            cells.append(f"{'n/a':>17}")
-        else:
-            t_cy, r_cy = bench(_dyck_cy.dyck_dp_mod, bvals, n)
-            assert r_cy == r_pure, "compiled kernel disagrees with the DP"
-            cells.append(f"{t_cy:>8.3f} ({t_pure / t_cy:>5.1f}x)")
-        print(f"{n:>6}  {t_pure:>10.3f}  {cells[0]}  {cells[1]}")
-    if _dyck_cy is None:
-        print("compiled kernel not built; install with the extension to compare")
+        assert r_tree == r_dp, "series engine disagrees with the DP"
+        print(f"{n:>6}  {t_dp:>10.3f}  {t_tree:>8.3f} ({t_dp / t_tree:>5.1f}x)")
     return 0
 
 

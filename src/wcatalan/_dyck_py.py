@@ -1,13 +1,13 @@
-"""Pure-Python Dyck-path DP kernel.
+"""Dyck-path DP kernel.
 
 State after s steps is the vector of total path-prefix weights by height;
 an up-step from height h multiplies by bvals[h], a down-step by 1.  Entry
 n of the output is the total weight of paths returning to 0 after 2n
 steps, i.e. the weighted Catalan number of semilength n.
 
-The compiled twin in _dyck_cy and the S-fraction engine in series
-implement the same contract for residues; this module is the reference
-they are tested against and the arbitrary-precision path.
+The S-fraction engine in `series` implements the same contract for
+residues; this module is the reference it is tested against, the residue
+engine below the crossover in `kernel`, and the only exact engine.
 """
 
 from __future__ import annotations

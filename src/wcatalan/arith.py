@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import series
 from .errors import DomainError
 
 __all__ = [
@@ -239,29 +240,21 @@ def _coeff_list(poly) -> list[int]:
 def series_divide(p, q, modulus: int, order: int) -> ModSeries:
     """First `order` coefficients of the power series p/q over Z/mZ.
 
-    Runs the coefficient recursion c_n = inv(q0)*(p_n - sum_{j>=1} q_j c_{n-j})
-    term by term; no polynomial inverse is precomputed.
+    Multiplies p by the Newton inverse of q, both through the Kronecker
+    products of `series`.
     """
     if modulus < 2:
         raise DomainError(f"series modulus must be at least 2, got {modulus}")
     if order < 0:
         raise DomainError("series order must be nonnegative")
-    pc = _coeff_list(p)
+    pc = [c % modulus for c in _coeff_list(p)[:order]]
     qc = _coeff_list(q)
     q0 = qc[0] if qc else 0
-    try:
-        inv = pow(q0 % modulus, -1, modulus)
-    except ValueError:
-        raise DomainError(
-            f"non-invertible constant term: gcd({q0}, {modulus}) != 1"
-        ) from None
-    out: list[int] = []
-    for n in range(order):
-        acc = pc[n] if n < len(pc) else 0
-        for j in range(1, min(n, len(qc) - 1) + 1):
-            acc -= qc[j] * out[n - j]
-        out.append(acc * inv % modulus)
-    return ModSeries(modulus, tuple(out))
+    if math.gcd(q0, modulus) != 1:
+        raise DomainError(f"non-invertible constant term: gcd({q0}, {modulus}) != 1")
+    inverse = series.inverse_mod([c % modulus for c in qc[:order]], modulus, order)
+    out = series.mul_mod(pc, inverse, modulus, order)
+    return ModSeries(modulus, tuple(out) + (0,) * (order - len(out)))
 
 
 def series_divide_exact(p, q, order: int) -> list[int]:

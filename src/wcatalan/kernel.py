@@ -1,39 +1,25 @@
 """Kernel selection for the weighted Catalan residues and exact values.
 
-Residues mod m come from, in order of preference:
+Residues mod m come from one of two pure-Python engines:
 
-1. the compiled DP extension, when it is built (moduli below 2**62);
-2. the S-fraction product tree in `series`, when the height limit, the
+1. the S-fraction product tree in `series`, when the height limit, the
    number of terms and the modulus size all sit on its side of the measured
    crossover below;
-3. the pure-Python DP in `_dyck_py`, whose O(n h) cost wins for small
+2. otherwise the Dyck DP in `_dyck_py`, whose O(n h) cost wins for small
    heights and for moduli far above word size.
 
-Exact values always come from the pure-Python DP.  The environment
-variable WCATALAN_PURE=1 forces the pure backend (used by the benchmark and
-to exercise the fallback in tests).
+Exact values always come from the Dyck DP.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _dyck_py, series
 from .errors import DomainError
 
-try:
-    from . import _dyck_cy  # type: ignore[attr-defined]
-except ImportError:  # extension not built
-    _dyck_cy = None
+# Backend name shown in benchmark records; both engines are pure Python.
+BACKEND = "pure"
 
-if os.environ.get("WCATALAN_PURE") == "1":
-    _dyck_cy = None
-
-BACKEND = "cython" if _dyck_cy is not None else "pure"
-
-_COMPILED_MOD_LIMIT = 1 << 62
-
-# Crossover between the pure DP and the S-fraction engine, from timing both
+# Crossover between the Dyck DP and the S-fraction engine, from timing both
 # on the Morse weight at moduli of 4 to 1952 bits (Python 3.11, 2-core
 # x86-64 VM).  The DP costs about n*h cells, each linear in the modulus
 # width; the tree costs a few Karatsuba products of n coefficients, each
@@ -57,8 +43,6 @@ def _series_wins(n_max: int, modulus: int, height_cap: int | None) -> bool:
 def dyck_dp_mod(bvals, n_max: int, modulus: int, height_cap: int | None = None) -> list[int]:
     """Weighted Catalan residues mod `modulus` for n = 0..n_max."""
     try:
-        if _dyck_cy is not None and 2 <= modulus < _COMPILED_MOD_LIMIT:
-            return _dyck_cy.dyck_dp_mod(bvals, n_max, modulus, height_cap)
         if _series_wins(n_max, modulus, height_cap):
             return series.dyck_series_mod(bvals, n_max, modulus, height_cap)
         return _dyck_py.dyck_dp(bvals, n_max, modulus, height_cap)

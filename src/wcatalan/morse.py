@@ -60,31 +60,23 @@ def morse_series(n_max: int) -> list[int]:
     return catalan.weighted_catalan_series(MORSE, n_max)
 
 
-def _expression_values(weight: WeightFunction, expr: str, n_max: int) -> list[int]:
-    lt = catalan.weighted_catalan_series(weight, n_max)
+def _expression_values(
+    weight: WeightFunction, expr: str, n_max: int, modulus: int | None = None
+) -> list[int]:
+    """The expression for n = 0..n_max: exact, or reduced mod `modulus`."""
+    if modulus is None:
+        lt = catalan.weighted_catalan_series(weight, n_max)
+    else:
+        lt = catalan.weighted_catalan_series_mod(weight, n_max, modulus)
     if expr == "cb":
         return lt
     if expr == "cb-1":
-        return [v - 1 for v in lt]
-    if expr == "cb-c":
-        cs = catalan.catalan_series(n_max)
-        return [v - c for v, c in zip(lt, cs)]
-    raise DomainError(f"unknown expression '{expr}'; expected one of {EXPRESSIONS}")
-
-
-def _expression_residues(
-    weight: WeightFunction, expr: str, p: int, exponent: int, n_max: int
-) -> tuple[list[int], int]:
-    modulus = p**exponent
-    lt = catalan.weighted_catalan_series_mod(weight, n_max, modulus)
-    if expr == "cb":
-        return lt, modulus
-    if expr == "cb-1":
-        return [(v - 1) % modulus for v in lt], modulus
-    if expr == "cb-c":
-        cs = catalan.catalan_series(n_max)
-        return [(v - c) % modulus for v, c in zip(lt, cs)], modulus
-    raise DomainError(f"unknown expression '{expr}'; expected one of {EXPRESSIONS}")
+        diff = [v - 1 for v in lt]
+    elif expr == "cb-c":
+        diff = [v - c for v, c in zip(lt, catalan.catalan_series(n_max))]
+    else:
+        raise DomainError(f"unknown expression '{expr}'; expected one of {EXPRESSIONS}")
+    return diff if modulus is None else [v % modulus for v in diff]
 
 
 def _initial_exponent(p: int) -> int:
@@ -115,7 +107,7 @@ def _certified_valuations(
     rows = range(small + 1, n_max + 1)
     exponent = _initial_exponent(p)
     while True:
-        residues, _ = _expression_residues(weight, expr, p, exponent, n_max)
+        residues = _expression_values(weight, expr, n_max, p**exponent)
         zero_rows = [n for n in rows if not residues[n]]
         if not zero_rows or p ** (2 * exponent) > 1 << _RESIDUE_BITS_MAX:
             break
@@ -378,6 +370,29 @@ def conjecture_report(which: str, n_max: int, depth: int = 6) -> dict:
     )
 
 
+def _check_fit(fit: PadicFit, rows, offset) -> tuple[int, int, dict | None]:
+    """Test each row (n, v) against v = offset(n) + xi_p(n - alpha), alpha as fitted.
+
+    Returns (verified, unverifiable, first_unexplained).  A row with
+    n = alpha mod p^depth is unverifiable: its xi_p(n - alpha) is beyond the
+    fitted depth.  Nothing is verified when the fit pinned no digit.
+    """
+    verified = unverifiable = 0
+    first_unexplained = None
+    if fit.certified_depth:
+        a, md = fit.residue, fit.modulus
+        for n, v in rows:
+            d = (n - a) % md
+            if d == 0:
+                unverifiable += 1
+                continue
+            predicted = offset(n) + valuation(fit.p, d)
+            verified += 1
+            if predicted != v and first_unexplained is None:
+                first_unexplained = {"n": n, "observed": v, "predicted": predicted}
+    return verified, unverifiable, first_unexplained
+
+
 def _report_2adic(n_max: int, depth: int, power: int) -> dict:
     """Fit xi_2(L^(k)_n - C_n) = s_2(n) + xi_2(n - alpha) + c over 2 <= n <= n_max.
 
@@ -393,20 +408,9 @@ def _report_2adic(n_max: int, depth: int, power: int) -> dict:
     c = min(v - digit_sum(2, n) for n, v in rows)
     data = [(n, v - digit_sum(2, n) - c) for n, v in rows]
     fit = fit_padic_alpha(data, 2, depth)
-
-    first_unexplained = None
-    verified = unverifiable = 0
-    if fit.certified_depth:
-        a, md = fit.residue, fit.modulus
-        for n, v in rows:
-            d = (n - a) % md
-            if d == 0:
-                unverifiable += 1
-                continue
-            predicted = digit_sum(2, n) + valuation(2, d) + c
-            verified += 1
-            if predicted != v and first_unexplained is None:
-                first_unexplained = {"n": n, "observed": v, "predicted": predicted}
+    verified, unverifiable, first_unexplained = _check_fit(
+        fit, rows, lambda n: digit_sum(2, n) + c
+    )
     return {
         "conjecture": f"xi_2(L^({power})_n - C_n) = s_2(n) + xi_2(n - alpha) + c",
         "window": [2, n_max],
@@ -434,20 +438,7 @@ def _report_5adic(n_max: int, depth: int) -> dict:
     shallow = [{"n": n, "valuation": v} for n, v in odd_rows if v < 3]
     data = [(n, v - 3) for n, v in odd_rows if v >= 3]
     fit = fit_padic_alpha(data, 5, depth)
-
-    first_unexplained = None
-    verified = unverifiable = 0
-    if fit.certified_depth:
-        a, md = fit.residue, fit.modulus
-        for n, v in odd_rows:
-            d = (n - a) % md
-            if d == 0:
-                unverifiable += 1
-                continue
-            predicted = valuation(5, d) + 3
-            verified += 1
-            if predicted != v and first_unexplained is None:
-                first_unexplained = {"n": n, "observed": v, "predicted": predicted}
+    verified, unverifiable, first_unexplained = _check_fit(fit, odd_rows, lambda n: 3)
     return {
         "conjecture": "xi_5(L_n) = 2 (n even) | xi_5(n - alpha) + 3 (n odd), n >= 4",
         "window": [4, n_max],

@@ -9,6 +9,7 @@ valuation theorems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,19 +46,9 @@ class WeightMembershipError(DomainError):
     """A divisibility certificate q^n | diff^n b failed; the weight leaves F."""
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
 def _morse_power_coeffs(k: int) -> tuple[int, ...]:
-    out = (1,)
-    for _ in range(2 * k):
-        out = _poly_mul(out, (1, 2))
-    return out
+    """Coefficients of (1 + 2x)^(2k), lowest degree first."""
+    return tuple(math.comb(2 * k, j) * 2**j for j in range(2 * k + 1))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from wcatalan import kernel
 from wcatalan.catalan import (
     catalan_number,
     catalan_series,
@@ -158,25 +157,6 @@ class TestModular:
         full = weighted_catalan_series_mod(MORSE, 60, 7)
         capped = weighted_catalan_series_mod(MORSE, 60, 7, height_cap=3)
         assert full == capped
-
-
-class TestKernelBackends:
-    def test_backends_agree(self):
-        from wcatalan import _dyck_py
-
-        if kernel.BACKEND != "cython":
-            pytest.skip("compiled kernel not built")
-        from wcatalan import _dyck_cy
-
-        rng = random.Random(11)
-        for _ in range(20):
-            n = rng.randrange(0, 60)
-            m = rng.randrange(2, 1 << 62)
-            cap = rng.choice([None, rng.randrange(0, n + 2)])
-            bvals = [rng.randrange(0, m) for _ in range(n)]
-            assert _dyck_cy.dyck_dp_mod(bvals, n, m, cap) == _dyck_py.dyck_dp(
-                bvals, n, m, cap
-            )
 
 
 class TestQAry:

@@ -224,26 +224,3 @@ def test_catalan_valuation_identity():
     series = weighted_catalan_series(WeightFunction.preset("ones"), 200)
     for n in range(1, 201):
         assert valuation(2, series[n]) == digit_sum(2, n + 1) - 1
-
-
-# ------------------------------------------------------------ kernel equality
-
-
-def test_kernels_agree_on_random_inputs():
-    import pytest
-
-    from wcatalan import kernel
-
-    if kernel.BACKEND != "cython":
-        pytest.skip("compiled kernel not built")
-    from wcatalan import _dyck_cy, _dyck_py
-
-    rng = random.Random(5)
-    for _ in range(30):
-        n = rng.randrange(0, 80)
-        m = rng.randrange(2, 1 << 62)
-        cap = rng.choice([None] + list(range(0, n + 2)))
-        bvals = [rng.randrange(0, m) for _ in range(n)]
-        assert _dyck_cy.dyck_dp_mod(bvals, n, m, cap) == _dyck_py.dyck_dp(
-            bvals, n, m, cap
-        )

@@ -21,6 +21,10 @@ class TestEvaluation:
     def test_morse_power(self):
         b = WeightFunction.preset("morse-power:2")
         assert [b(x) for x in range(4)] == [1, 81, 625, 2401]
+        for k in range(1, 5):
+            b = WeightFunction.preset(f"morse-power:{k}")
+            assert b.degree == 2 * k
+            assert all(b(x) == (2 * x + 1) ** (2 * k) for x in range(12))
 
     def test_table_out_of_range(self):
         b = WeightFunction.from_table([1, 9, 25])
