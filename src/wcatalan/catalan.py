@@ -1,7 +1,7 @@
 """Weighted Catalan numbers, exactly and modulo m, for binary and q-ary branching.
 
-The binary engine is the height-indexed Dyck-path DP from the kernel
-module; the q-ary engine is a memoized tree recursion in which a vertex at
+The binary values come from `kernel`, which checks the arguments and picks
+an engine; the q-ary engine is a memoized tree recursion in which a vertex at
 non-right depth x carries weight b(x).
 """
 
@@ -19,8 +19,6 @@ __all__ = [
     "weighted_catalan",
     "weighted_catalan_value",
     "weighted_catalan_series",
-    "weighted_catalan_mod",
-    "weighted_catalan_series_mod",
     "q_weighted_catalan",
     "q_catalan",
     "catalan_number",
@@ -45,46 +43,28 @@ def weighted_catalan_value(b: WeightFunction, n: int, q: int = 2) -> CatalanValu
 
 
 def weighted_catalan_series(
-    b: WeightFunction, n_max: int, shift: int = 0, height_cap: int | None = None
+    b: WeightFunction,
+    n_max: int,
+    shift: int = 0,
+    height_cap: int | None = None,
+    modulus: int | None = None,
 ) -> list[int]:
-    """Exact values for all semilengths 0..n_max.
+    """Values for all semilengths 0..n_max: exact, or reduced mod `modulus`.
 
     Level-k up-steps are weighted b(shift + k); heights at or above n_max
     are never touched, so a table weight of n_max values suffices.  With a
     height cap, only paths staying at or below the cap are counted.
     """
-    if n_max < 0:
-        raise DomainError("semilength must be nonnegative")
     need = n_max if height_cap is None else min(height_cap, n_max)
     bvals = b.values(shift, need)
-    return kernel.dyck_dp_exact(bvals, n_max, height_cap)
-
-
-def weighted_catalan(b: WeightFunction, n: int, shift: int = 0) -> int:
-    """Exact weighted Catalan number of semilength n."""
-    return weighted_catalan_series(b, n, shift)[n]
-
-
-def weighted_catalan_series_mod(
-    b: WeightFunction,
-    n_max: int,
-    modulus: int,
-    shift: int = 0,
-    height_cap: int | None = None,
-) -> list[int]:
-    """Residues mod `modulus` for all semilengths 0..n_max."""
-    if n_max < 0:
-        raise DomainError("semilength must be nonnegative")
-    if modulus < 2:
-        raise DomainError(f"modulus must be at least 2, got {modulus}")
-    need = n_max if height_cap is None else min(height_cap, n_max)
-    bvals = b.values(shift, need)
+    if modulus is None:
+        return kernel.dyck_dp_exact(bvals, n_max, height_cap)
     return kernel.dyck_dp_mod(bvals, n_max, modulus, height_cap)
 
 
-def weighted_catalan_mod(b: WeightFunction, n: int, modulus: int) -> int:
-    """Weighted Catalan number of semilength n, reduced mod `modulus`."""
-    return weighted_catalan_series_mod(b, n, modulus)[n]
+def weighted_catalan(b: WeightFunction, n: int, shift: int = 0, modulus: int | None = None) -> int:
+    """Weighted Catalan number of semilength n: exact, or reduced mod `modulus`."""
+    return weighted_catalan_series(b, n, shift, modulus=modulus)[n]
 
 
 def _convolve(a: list[int], b: list[int], size: int) -> list[int]:

@@ -59,10 +59,7 @@ def _cmd_compute(args, started) -> int:
     if args.mod is not None and args.mod < 2:
         raise DomainError(f"modulus must be at least 2, got {args.mod}")
     if args.q == 2:
-        if args.mod is None:
-            result = catalan.weighted_catalan(b, args.n)
-        else:
-            result = catalan.weighted_catalan_mod(b, args.n, args.mod)
+        result = catalan.weighted_catalan(b, args.n, modulus=args.mod)
     else:
         value = catalan.q_weighted_catalan(b, args.q, args.n)
         result = value if args.mod is None else value % args.mod
@@ -167,9 +164,7 @@ def _cmd_epsilon(args, started) -> int:
 
 def _cmd_period(args, started) -> int:
     b = parse_weight_spec(args.weight)
-    report = periodicity.analyze_weight_period(
-        b, args.mod, max_terms=args.max_terms, state_width=args.state_width
-    )
+    report = periodicity.analyze_weight_period(b, args.mod, max_terms=args.max_terms)
     params = {"weight": args.weight, "mod": args.mod, "max_terms": args.max_terms}
     _emit(args, "period", params, report.to_json_dict(), started)
     return EXIT_OK
@@ -205,9 +200,8 @@ def _cmd_morse(args, started) -> int:
             return EXIT_OK
         if args.mod is None:
             raise WeightSpecError("morse period needs --mod M or --pow3 R")
-        report = periodicity.analyze_weight_period(
-            morse.MORSE, args.mod, max_terms=args.max_terms or 2048
-        )
+        terms = 2048 if args.max_terms is None else args.max_terms
+        report = periodicity.analyze_weight_period(morse.MORSE, args.mod, max_terms=terms)
         params = {"mod": args.mod, "max_terms": args.max_terms}
         _emit(args, "morse period", params, report.to_json_dict(), started)
         return EXIT_OK
@@ -282,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--mod", type=int, required=True)
     p.add_argument("--max-terms", type=int, default=5000)
-    p.add_argument("--state-width", type=int)
     p.set_defaults(func=_cmd_period)
 
     p = sub.add_parser("pq", help="truncated continued fraction as P, Q coefficients")

@@ -1,19 +1,25 @@
-"""Kernel selection for the weighted Catalan residues and exact values.
+"""Weighted Catalan numbers C_n^b for n = 0..n_max, exact or mod m.
+
+`dyck_dp_exact` and `dyck_dp_mod` are the one contract: up-steps from
+height k are weighted bvals[k], and with a height cap only paths staying
+at or below the cap are counted.  Both check their arguments here, once,
+and raise `DomainError`; the engines behind them trust their input.
 
 Residues mod m come from one of two pure-Python engines:
 
 1. the S-fraction product tree in `series`, when the height limit, the
    number of terms and the modulus size all sit on its side of the measured
    crossover below;
-2. otherwise the Dyck DP in `_dyck_py`, whose O(n h) cost wins for small
+2. otherwise the Dyck DP in this module, whose O(n h) cost wins for small
    heights and for moduli far above word size.
 
-Exact values always come from the Dyck DP.
+Exact values always come from the Dyck DP, which is also the reference the
+tree is tested against.
 """
 
 from __future__ import annotations
 
-from . import _dyck_py, series
+from . import series
 from .errors import DomainError
 
 # Backend name shown in benchmark records; both engines are pure Python.
@@ -34,25 +40,76 @@ SERIES_MIN_TERMS = 128
 _WORD_BITS = 64
 
 
-def _series_wins(n_max: int, modulus: int, height_cap: int | None) -> bool:
-    h = n_max if height_cap is None else min(height_cap, n_max)
+def _check_args(bvals, n_max: int, modulus: int | None, height_cap: int | None) -> int:
+    """Check the arguments; return the height limit min(height_cap, n_max)."""
+    if n_max < 0:
+        raise DomainError("semilength must be nonnegative")
+    if modulus is not None and modulus < 2:
+        raise DomainError(f"modulus must be at least 2, got {modulus}")
+    height = max(n_max if height_cap is None else min(height_cap, n_max), 0)
+    if len(bvals) < height:
+        raise DomainError(
+            f"need {height} weight values (heights 0..{height - 1}), got {len(bvals)}"
+        )
+    return height
+
+
+def _series_wins(n_max: int, modulus: int, height: int) -> bool:
     width = max(modulus.bit_length(), _WORD_BITS)
-    return h >= SERIES_MIN_HEIGHT and n_max * _WORD_BITS**2 >= SERIES_MIN_TERMS * width**2
+    return height >= SERIES_MIN_HEIGHT and n_max * _WORD_BITS**2 >= SERIES_MIN_TERMS * width**2
 
 
 def dyck_dp_mod(bvals, n_max: int, modulus: int, height_cap: int | None = None) -> list[int]:
     """Weighted Catalan residues mod `modulus` for n = 0..n_max."""
-    try:
-        if _series_wins(n_max, modulus, height_cap):
-            return series.dyck_series_mod(bvals, n_max, modulus, height_cap)
-        return _dyck_py.dyck_dp(bvals, n_max, modulus, height_cap)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    height = _check_args(bvals, n_max, modulus, height_cap)
+    if _series_wins(n_max, modulus, height):
+        return series.dyck_series_mod(bvals, n_max, modulus, height)
+    return _dyck_dp(bvals, n_max, modulus, height)
 
 
 def dyck_dp_exact(bvals, n_max: int, height_cap: int | None = None) -> list[int]:
     """Exact weighted Catalan numbers for n = 0..n_max."""
-    try:
-        return _dyck_py.dyck_dp(bvals, n_max, None, height_cap)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    return _dyck_dp(bvals, n_max, None, _check_args(bvals, n_max, None, height_cap))
+
+
+def _dyck_dp(bvals, n_max: int, modulus: int | None, height: int) -> list[int]:
+    """The Dyck-path DP over heights 0..height, exact or mod `modulus`.
+
+    The state after s steps is the vector of total path-prefix weights by
+    height; an up-step from height k multiplies by bvals[k], a down-step
+    by 1.  Entry n of the output is the total weight of the paths back at
+    height 0 after 2n steps.  The exact and residue inner loops are kept
+    apart: one shared loop made small-height period jobs 70% slower.
+    """
+    if modulus is None:
+        b = list(bvals[:height])
+    else:
+        b = [v % modulus for v in bvals[:height]]
+
+    out = [0] * (n_max + 1)
+    out[0] = 1
+    size = height + 3
+    prev = [0] * size
+    cur = [0] * size
+    prev[0] = 1
+    for s in range(1, 2 * n_max + 1):
+        hi = min(s, 2 * n_max - s, height)
+        lo = s & 1
+        if modulus is None:
+            for j in range(lo, hi + 1, 2):
+                v = prev[j + 1]
+                if j:
+                    v += prev[j - 1] * b[j - 1]
+                cur[j] = v
+        else:
+            for j in range(lo, hi + 1, 2):
+                v = prev[j + 1]
+                if j:
+                    v += prev[j - 1] * b[j - 1]
+                cur[j] = v % modulus
+        if hi + 2 < size:
+            cur[hi + 2] = 0
+        prev, cur = cur, prev
+        if lo == 0:
+            out[s >> 1] = prev[0]
+    return out

@@ -64,10 +64,7 @@ def _expression_values(
     weight: WeightFunction, expr: str, n_max: int, modulus: int | None = None
 ) -> list[int]:
     """The expression for n = 0..n_max: exact, or reduced mod `modulus`."""
-    if modulus is None:
-        lt = catalan.weighted_catalan_series(weight, n_max)
-    else:
-        lt = catalan.weighted_catalan_series_mod(weight, n_max, modulus)
+    lt = catalan.weighted_catalan_series(weight, n_max, modulus=modulus)
     if expr == "cb":
         return lt
     if expr == "cb-1":

@@ -23,7 +23,6 @@ from .weights import EpsilonSequence, WeightFunction, WeightMembershipError
 
 __all__ = [
     "OrbitShape",
-    "OrbitEpsilon",
     "CoinConfiguration",
     "enumerate_orbits",
     "orbit_size",
@@ -346,22 +345,7 @@ def _avg_values(key, q: int, b: WeightFunction, start: int, length: int) -> list
     return out
 
 
-@dataclass(frozen=True)
-class OrbitEpsilon:
-    """Carry sequence of an orbit's average weight, tagged with its route."""
-
-    base: int
-    bits: tuple[int, ...]
-    source: str
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __getitem__(self, i: int) -> int:
-        return self.bits[i]
-
-
-def epsilon_direct(shape: OrbitShape, b: WeightFunction, max_m: int) -> OrbitEpsilon:
+def epsilon_direct(shape: OrbitShape, b: WeightFunction, max_m: int) -> EpsilonSequence:
     """Orbit carry bits straight from the definition.
 
     Computes the average weight on a window, then reads off
@@ -390,15 +374,7 @@ def epsilon_direct(shape: OrbitShape, b: WeightFunction, max_m: int) -> OrbitEps
                 f" modulo {q}^{m + 1}; weight outside F"
             )
         bits.append(residues.pop())
-    return OrbitEpsilon(q, tuple(bits), "direct")
-
-
-def _eps_entries(eps) -> tuple[int, ...]:
-    if isinstance(eps, EpsilonSequence):
-        return eps.bits
-    if isinstance(eps, OrbitEpsilon):
-        return eps.bits
-    return tuple(eps)
+    return EpsilonSequence(q, tuple(bits))
 
 
 def _compositions(total: int, parts: int):
@@ -419,7 +395,7 @@ def _multinomial(total: int, parts) -> int:
     return out
 
 
-def epsilon_recursive(shape: OrbitShape, eps, max_m: int) -> OrbitEpsilon:
+def epsilon_recursive(shape: OrbitShape, eps, max_m: int) -> EpsilonSequence:
     """Orbit carry bits via the root-split multinomial recursion.
 
     With child orbits O_1..O_q (empty slots have carry (1, 0, 0, ...)),
@@ -432,7 +408,7 @@ def epsilon_recursive(shape: OrbitShape, eps, max_m: int) -> OrbitEpsilon:
     if max_m < 0:
         raise DomainError("max order must be nonnegative")
     q = shape.q
-    bits_b = _eps_entries(eps)
+    bits_b = tuple(eps)
     need = max_m + shape.depth + 1
     if len(bits_b) < need:
         raise DomainError(
@@ -470,7 +446,7 @@ def epsilon_recursive(shape: OrbitShape, eps, max_m: int) -> OrbitEpsilon:
         memo[ck] = result
         return result
 
-    return OrbitEpsilon(q, rec(shape.key, max_m), "recursion")
+    return EpsilonSequence(q, rec(shape.key, max_m))
 
 
 def _ordered_representative(key):
@@ -520,7 +496,7 @@ def coin_oracle(
             f"coin oracle capped at {max_vertices} vertices and order {max_order}"
             f" (requested {n_v} vertices, order {m})"
         )
-    bits_b = _eps_entries(eps)
+    bits_b = tuple(eps)
     if len(bits_b) < m + n_v:
         raise DomainError(
             f"need weight carry entries up to order {m + n_v - 1}, got {len(bits_b)}"
@@ -572,7 +548,7 @@ class CoinConfiguration:
         return Counter(self.counts().values())
 
     def weight(self, eps) -> int:
-        bits = _eps_entries(eps)
+        bits = tuple(eps)
         w = 1
         for _, c in self.counts().items():
             w *= bits[c]

@@ -220,31 +220,31 @@ def weighted_residues(
     """First `count` weighted Catalan residues mod `modulus`."""
     if count < 1:
         raise DomainError("need at least one term")
-    return catalan.weighted_catalan_series_mod(b, count - 1, modulus, height_cap=height_cap)
+    return catalan.weighted_catalan_series(b, count - 1, height_cap=height_cap, modulus=modulus)
 
 
 def analyze_weight_period(
     b: WeightFunction,
     modulus: int,
     max_terms: int = 2048,
-    state_width: int | None = None,
     truncation_bound: int = DEFAULT_TRUNCATION_BOUND,
 ) -> PeriodReport:
     """End-to-end period analysis of the weighted Catalan residues mod m.
 
     When a truncation index k exists the DP is height-capped at k, the
-    report is certified, and the default state width is the degree of the
-    truncated denominator; otherwise the full DP runs uncertified.
+    report is certified, and the cycle detector's state width is the degree
+    of the truncated denominator; otherwise the full DP runs uncertified
+    with state width 4.
     """
     k = truncation_index(b, modulus, truncation_bound)
     if k is None:
         cap = None
-        width = state_width if state_width is not None else 4
+        width = 4
         certified = False
     else:
         cap = k
         pq = continued_fraction_pq(b, k)
-        width = state_width if state_width is not None else max(1, pq.Q.degree)
+        width = max(1, pq.Q.degree)
         certified = True
     residues = weighted_residues(b, modulus, max_terms, height_cap=cap)
     return detect_period(residues, modulus, max_terms, width, certified=certified)

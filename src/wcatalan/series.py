@@ -16,12 +16,10 @@ with matrix M_k = [[0, 1], [-b_k x, 1]]; so with M_0 M_1 ... M_{h-1} =
 [[A, B], [C, D]] the truncated fraction is (A + B) / (C + D).  A balanced
 product tree forms that product, and a Newton inverse (Sieveking 1972,
 Kung 1974) divides, in O(M(n) log h) for polynomial multiplication time
-M(n), against O(n h) for the Dyck DP in `_dyck_py`.
+M(n), against O(n h) for the Dyck DP in `kernel`.
 """
 
 from __future__ import annotations
-
-from ._dyck_py import check_dp_args
 
 __all__ = ["mul_mod", "inverse_mod", "dyck_series_mod"]
 
@@ -161,15 +159,14 @@ def _fraction(steps: list[int], lo: int, hi: int, modulus: int):
     )
 
 
-def dyck_series_mod(bvals, n_max: int, modulus: int, height_cap: int | None = None) -> list[int]:
+def dyck_series_mod(bvals, n_max: int, modulus: int, height: int) -> list[int]:
     """Residues of the weighted Catalan numbers mod `modulus` for n = 0..n_max.
 
-    Same contract, validation and errors as `_dyck_py.dyck_dp` with a
-    modulus: with a height cap h, only paths staying at or below height h
-    are counted.
+    Only paths staying at or below `height` are counted.  The arguments
+    are trusted: `kernel.dyck_dp_mod` checks them and resolves a height cap
+    into `height` (at most n_max, and no more than len(bvals)).
     """
-    h_max = check_dp_args(bvals, n_max, modulus, height_cap)
-    steps = [-v % modulus for v in bvals[:h_max]]
-    numer, denom = _fraction(steps, 0, h_max, modulus)
+    steps = [-v % modulus for v in bvals[:height]]
+    numer, denom = _fraction(steps, 0, height, modulus)
     out = mul_mod(numer, inverse_mod(denom, modulus, n_max + 1), modulus, n_max + 1)
     return out + [0] * (n_max + 1 - len(out))

@@ -173,7 +173,7 @@ def parse_weight_spec(text: str) -> WeightFunction:
 
 @dataclass(frozen=True)
 class EpsilonSequence:
-    """Carry sequence of a weight in F(q).
+    """Carry sequence of a weight in F(q), or of an orbit's average weight.
 
     For b with q^n | diff^n b everywhere, the n-th difference is constant
     modulo q^(n+1); entry n stores (diff^n b / q^n) mod q as the least
@@ -182,7 +182,6 @@ class EpsilonSequence:
 
     base: int
     bits: tuple[int, ...]
-    verified_order: int
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -226,7 +225,7 @@ def epsilon_of_weight(b: WeightFunction, max_order: int, base: int = 2) -> Epsil
         for n in range(max_order + 1):
             c = newton[n] if n < len(newton) else 0
             bits.append((c // q**n) % q)
-        return EpsilonSequence(q, tuple(bits), max_order)
+        return EpsilonSequence(q, tuple(bits))
 
     window = b.as_table(0, len(b.table))
     if len(window) < max_order + 2:
@@ -252,7 +251,7 @@ def epsilon_of_weight(b: WeightFunction, max_order: int, base: int = 2) -> Epsil
                 f" window; weight leaves F(base {q})"
             )
         bits.append(residues.pop())
-    return EpsilonSequence(q, tuple(bits), max_order)
+    return EpsilonSequence(q, tuple(bits))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,7 @@ from wcatalan.catalan import (
     q_catalan,
     q_weighted_catalan,
     weighted_catalan,
-    weighted_catalan_mod,
     weighted_catalan_series,
-    weighted_catalan_series_mod,
 )
 from wcatalan.errors import DomainError
 from wcatalan.weights import WeightFunction
@@ -134,28 +132,28 @@ class TestWeightedCatalan:
 
 class TestModular:
     def test_examples(self):
-        assert weighted_catalan_mod(MORSE, 3, 7) == 3
-        assert weighted_catalan_mod(MORSE, 2, 11) == 10
-        assert weighted_catalan_mod(MORSE, 0, 17) == 1
+        assert weighted_catalan(MORSE, 3, modulus=7) == 3
+        assert weighted_catalan(MORSE, 2, modulus=11) == 10
+        assert weighted_catalan(MORSE, 0, modulus=17) == 1
 
     def test_matches_exact(self):
         rng = random.Random(7)
         series = weighted_catalan_series(MORSE, 40)
         for _ in range(10):
             m = rng.randrange(2, 10**6)
-            got = weighted_catalan_series_mod(MORSE, 40, m)
+            got = weighted_catalan_series(MORSE, 40, modulus=m)
             assert got == [v % m for v in series]
 
     def test_huge_modulus_falls_back_to_pure(self):
         m = (1 << 70) + 1
-        got = weighted_catalan_series_mod(MORSE, 30, m)
+        got = weighted_catalan_series(MORSE, 30, modulus=m)
         series = weighted_catalan_series(MORSE, 30)
         assert got == [v % m for v in series]
 
     def test_capped_mod_agrees_when_prefix_product_vanishes(self):
         # 7 | b(0)..b(3), so paths above height 3 vanish mod 7
-        full = weighted_catalan_series_mod(MORSE, 60, 7)
-        capped = weighted_catalan_series_mod(MORSE, 60, 7, height_cap=3)
+        full = weighted_catalan_series(MORSE, 60, modulus=7)
+        capped = weighted_catalan_series(MORSE, 60, height_cap=3, modulus=7)
         assert full == capped
 
 

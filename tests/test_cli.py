@@ -219,6 +219,17 @@ class TestExitCodes:
         assert code == 3
         assert "modulus must be at least 2" in err
 
+    def test_zero_max_terms_is_domain_error(self, capsys):
+        # as for `period` and `morse period --pow3` (tests/test_envelopes.py)
+        code, out, err = run_cli(capsys, "morse", "period", "--mod", "7", "--max-terms", "0")
+        assert (code, out, err) == (3, "", "error: need at least one term\n")
+
+    def test_state_width_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["period", "--weight", "preset:morse", "--mod", "7", "--state-width", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --state-width 2" in capsys.readouterr().err
+
 
 class TestZeroRows:
     def test_residue_mode_agrees_with_exact_mode_on_exact_zeros(self, capsys):

@@ -1,0 +1,88 @@
+"""Byte-level regression of the CLI envelopes.
+
+Each case pins, for one command: the exit code, the stderr text, and a
+SHA-256 prefix of stdout with the `elapsed_ms` value zeroed (the only
+field of an envelope that may vary between runs).  Together the cases run
+every subcommand and the exit codes 2, 3 and 4.  For argparse errors only
+the last stderr line is pinned; the usage block above it is argparse's
+formatting.
+
+A changed digest means an envelope changed.  To see the new output of a
+case, run it through `wcatalan.cli.main` and print `normalised_stdout`.
+"""
+
+import hashlib
+import re
+import shlex
+
+import pytest
+
+from wcatalan.cli import main
+
+_ELAPSED = re.compile(r'"elapsed_ms": [0-9.e+-]+')
+
+
+def normalised_stdout(out: str) -> str:
+    return _ELAPSED.sub('"elapsed_ms": 0', out)
+
+
+def digest(out: str) -> str:
+    return hashlib.sha256(normalised_stdout(out).encode()).hexdigest()[:16]
+
+
+def run(capsys, command: str) -> tuple[int, str, str]:
+    try:
+        code = main(shlex.split(command))
+    except SystemExit as exc:  # argparse
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err.strip().splitlines()[-1]
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# (command, exit code, stderr, stdout digest)
+CASES = [
+    ('compute --weight preset:ones --n 10', 0, '', '8f9964844aabda84'),
+    ('compute --weight preset:morse --n 300 --mod 1000003', 0, '', '38985f0690248e11'),
+    ('compute --weight preset:morse --n 40 --mod 97', 0, '', '6b6361c694297756'),
+    ('compute --weight poly:3,-5,2 --n 12 --q 3 --mod 97', 0, '', '9d4e649461dc5eb4'),
+    ('compute --weight preset:matchings --n 8 --q 3', 0, '', 'b4dc0604426a1389'),
+    ('compute --weight table:1,9 --n 5', 3, 'error: table weight has 2 entries (x < 2); extend the table to evaluate b(2)\n', 'e3b0c44298fc1c14'),
+    ('compute --weight table:1,9 --n 5 --mod 7', 3, 'error: table weight has 2 entries (x < 2); extend the table to evaluate b(2)\n', 'e3b0c44298fc1c14'),
+    ('compute --weight preset:ones --n -1', 3, 'error: semilength must be nonnegative\n', 'e3b0c44298fc1c14'),
+    ('compute --weight preset:ones --n -1 --mod 7', 3, 'error: semilength must be nonnegative\n', 'e3b0c44298fc1c14'),
+    ('compute --weight preset:ones --n 3 --mod 1', 3, 'error: modulus must be at least 2, got 1\n', 'e3b0c44298fc1c14'),
+    ('compute --weight bogus --n 2', 2, "error: weight spec 'bogus' has no kind prefix; expected preset:NAME | poly:c0,c1,... | table:v0,v1,...\nweight grammar: preset:NAME | poly:c0,c1,... | table:v0,v1,...\n", 'e3b0c44298fc1c14'),
+    ('compute --n 3', 2, 'wcatalan compute: error: the following arguments are required: --weight', 'e3b0c44298fc1c14'),
+    ('valuation --weight preset:morse --p 2 --expr cb-1 --range 1..200', 0, '', 'bb5208478e75daa2'),
+    ('valuation --weight preset:morse --p 2 --expr cb --range 1..400', 0, '', 'a6afc6fa5d4e03a2'),
+    ('valuation --weight preset:morse --p 5 --expr cb-c --range 1..40 --format csv', 0, '', 'a132146187c5e337'),
+    ('valuation --weight preset:morse --p 4 --expr cb --range 1..4', 3, 'error: valuation profiles need a prime p, got 4\n', 'e3b0c44298fc1c14'),
+    ('check --weight preset:morse --theorem main', 0, '', 'cbcf5c4a06520c43'),
+    ('check --weight table:1,3,5,7,9,11 --theorem ps --window 0..5', 0, '', 'c6dd8693b6f4e21a'),
+    ('orbits --n 7 --reduce', 0, '', '300984dcc6767f7a'),
+    ('orbits --n 9 --minimal', 0, '', '559234fb874b08d6'),
+    ('orbits --n 12 --max-orbit-n 5', 4, 'error: orbit enumeration capped at 5 vertices (requested 12); raise the cap explicitly to go further\n', 'e3b0c44298fc1c14'),
+    ('epsilon --weight preset:morse --shape (()()) --m 4', 0, '', '0f86db94f617c6ae'),
+    ('period --weight preset:morse --mod 7 --max-terms 500', 0, '', 'd9c1e11fbce8a52d'),
+    ('period --weight preset:morse --mod 11 --max-terms 40', 0, '', 'd48478ba111cbc84'),
+    ('period --weight preset:ones --mod 5 --max-terms 300', 0, '', '27858d039a0c96a2'),
+    ('period --weight preset:morse --mod 7 --max-terms 0', 3, 'error: need at least one term\n', 'e3b0c44298fc1c14'),
+    ('period --weight table:1,3 --mod 1 --max-terms 10', 3, 'error: modulus must be at least 2, got 1\n', 'e3b0c44298fc1c14'),
+    ('pq --weight preset:morse --truncate 12 --mod 1000', 0, '', '620eb83028efefca'),
+    ('pq --weight poly:1,1 --truncate 6', 0, '', 'b60d26da9dfc35d5'),
+    ('morse period --mod 7 --max-terms 200', 0, '', '006ec8dc27bb37c4'),
+    ('morse period --pow3 3 --max-terms 300', 0, '', 'a7d7b9e0cbbaef39'),
+    ('morse period --pow3 4 --max-terms 0', 3, 'error: need at least one term\n', 'e3b0c44298fc1c14'),
+    ('morse period', 2, 'error: morse period needs --mod M or --pow3 R\nweight grammar: preset:NAME | poly:c0,c1,... | table:v0,v1,...\n', 'e3b0c44298fc1c14'),
+    ('morse profile --expr cb-1 --p 2 --range 1..60 --format csv', 0, '', '77f13c616b5e4cf1'),
+    ('morse fit-alpha --which 2adic --n-max 256 --depth 4', 0, '', 'b4bff053a61e2775'),
+    ('morse report --which 5adic --n-max 200 --depth 3', 0, '', 'aad88c0d98ce040c'),
+    ('morse report --which 3adic --n-max 100 --depth 2', 0, '', '435bc9f508197cb7'),
+]
+
+
+@pytest.mark.parametrize("command, code, err, out", CASES, ids=[c[0] for c in CASES])
+def test_envelope_is_unchanged(capsys, command, code, err, out):
+    got_code, got_out, got_err = run(capsys, command)
+    assert (got_code, got_err, digest(got_out)) == (code, err, out)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcatalan.arith import digit_sum, series_divide, valuation
-from wcatalan.catalan import catalan_number, weighted_catalan_series_mod
+from wcatalan.catalan import catalan_number, weighted_catalan_series
 from wcatalan.errors import DomainError
 from wcatalan.morse import (
     MORSE,
@@ -153,7 +153,7 @@ class TestPeriodChecks:
 
     def test_mod7_series_termwise(self):
         series = series_divide((1, 1), (1, 0, 4), 7, 500)
-        assert list(series.coefficients) == weighted_catalan_series_mod(MORSE, 499, 7)
+        assert list(series.coefficients) == weighted_catalan_series(MORSE, 499, modulus=7)
 
     def test_mod27_divisor_bound(self):
         check = mod3r_period_check(3, window=300)

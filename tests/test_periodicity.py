@@ -4,7 +4,7 @@ import random
 import pytest
 
 from wcatalan.arith import series_divide, series_divide_exact
-from wcatalan.catalan import weighted_catalan_series, weighted_catalan_series_mod
+from wcatalan.catalan import weighted_catalan_series
 from wcatalan.errors import DomainError
 from wcatalan.periodicity import (
     PQPair,
@@ -191,7 +191,7 @@ class TestRecurrenceFromQ:
             k = truncation_index(MORSE, m, 50)
             pair = continued_fraction_pq(MORSE, k)
             qc = pair.Q.coefficients_mod(m)
-            res = weighted_catalan_series_mod(MORSE, 200, m, height_cap=k)
+            res = weighted_catalan_series(MORSE, 200, height_cap=k, modulus=m)
             for n in range(pair.P.degree + 1, 201 - len(qc)):
                 acc = sum(qc[j] * res[n + j] for j in range(len(qc)))
                 # reversed convention: check both orientations of the convolution
@@ -204,13 +204,13 @@ class TestRecurrenceFromQ:
             k = truncation_index(MORSE, m, 50)
             pair = continued_fraction_pq(MORSE, k)
             series = series_divide(pair.P.coefficients, pair.Q.coefficients, m, 201)
-            dp = weighted_catalan_series_mod(MORSE, 200, m)
+            dp = weighted_catalan_series(MORSE, 200, modulus=m)
             assert list(series.coefficients) == dp
 
     def test_documented_mod7_series_prefix(self):
         series = series_divide((1, 1), (1, 0, 4), 7, 6)
         assert series.coefficients == (1, 1, 3, 3, 2, 2)
-        assert list(series.coefficients) == weighted_catalan_series_mod(MORSE, 5, 7)
+        assert list(series.coefficients) == weighted_catalan_series(MORSE, 5, modulus=7)
 
 
 class TestPurePeriodicity:
@@ -253,4 +253,4 @@ class TestPurePeriodicity:
 class TestWeightedResidues:
     def test_prefix_of_series(self):
         got = weighted_residues(MORSE, 7, 10, height_cap=3)
-        assert got == weighted_catalan_series_mod(MORSE, 9, 7)
+        assert got == weighted_catalan_series(MORSE, 9, modulus=7)

@@ -1,15 +1,16 @@
 """Parity of the S-fraction residue engine with the reference Dyck DP.
 
-`_dyck_py.dyck_dp` is the reference: the engine in `series` and the kernel
-switch in front of both must return the same residues and raise the same
-errors for every weight, modulus and height cap.
+`kernel._dyck_dp` is the reference: the engine in `series` and the kernel
+switch in front of both must return the same residues for every weight,
+modulus and height cap, and the kernel's one argument check must raise the
+same errors on either side of the crossover.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcatalan import _dyck_py, kernel, series
+from wcatalan import kernel, series
 from wcatalan.errors import DomainError
 from wcatalan.weights import WeightFunction
 
@@ -51,7 +52,8 @@ def cases(draw, n_max):
 @settings(max_examples=120, deadline=None)
 def test_engine_matches_dp(case):
     bvals, n, m, cap = case
-    assert series.dyck_series_mod(bvals, n, m, cap) == _dyck_py.dyck_dp(bvals, n, m, cap)
+    h = kernel._check_args(bvals, n, m, cap)
+    assert series.dyck_series_mod(bvals, n, m, h) == kernel._dyck_dp(bvals, n, m, h)
 
 
 NEAR_CROSSOVER = st.integers(kernel.SERIES_MIN_TERMS - 8, kernel.SERIES_MIN_TERMS + 40)
@@ -70,53 +72,70 @@ def crossover_cases(draw):
 @settings(max_examples=40, deadline=None)
 def test_kernel_matches_dp_on_both_sides_of_the_crossover(case):
     bvals, n, m, cap = case
-    assert kernel.dyck_dp_mod(bvals, n, m, cap) == _dyck_py.dyck_dp(bvals, n, m, cap)
+    h = kernel._check_args(bvals, n, m, cap)
+    assert kernel.dyck_dp_mod(bvals, n, m, cap) == kernel._dyck_dp(bvals, n, m, h)
 
 
 def test_crossover_selects_each_engine():
     n, h = kernel.SERIES_MIN_TERMS, kernel.SERIES_MIN_HEIGHT
     word = 1 << 61
-    assert kernel._series_wins(n, word, None)
+    assert kernel._series_wins(n, word, n)
     assert kernel._series_wins(n, word, h)
     assert not kernel._series_wins(n, word, h - 1)
-    assert not kernel._series_wins(n - 1, word, None)
+    assert not kernel._series_wins(n - 1, word, n - 1)
     # wider moduli need more terms before the tree pays off
-    assert not kernel._series_wins(4 * n - 1, 1 << 127, None)
-    assert kernel._series_wins(4 * n, 1 << 127, None)
+    assert not kernel._series_wins(4 * n - 1, 1 << 127, 4 * n - 1)
+    assert kernel._series_wins(4 * n, 1 << 127, 4 * n)
 
 
 @given(weights(4), MODULI, st.one_of(st.none(), st.integers(-2, 4)))
 @settings(max_examples=40, deadline=None)
 def test_zero_terms(bvals, m, cap):
-    assert series.dyck_series_mod(bvals, 0, m, cap) == _dyck_py.dyck_dp(bvals, 0, m, cap) == [1]
+    assert kernel._check_args(bvals, 0, m, cap) == 0
+    assert series.dyck_series_mod(bvals, 0, m, 0) == kernel._dyck_dp(bvals, 0, m, 0) == [1]
+    assert kernel.dyck_dp_mod(bvals, 0, m, cap) == kernel.dyck_dp_exact(bvals, 0, cap) == [1]
+
+
+ERROR_TEXT = (
+    r"^(semilength must be nonnegative"
+    r"|modulus must be at least 2, got -?\d+"
+    r"|need \d+ weight values \(heights 0\.\.\d+\), got \d+)$"
+)
 
 
 @pytest.mark.parametrize(
     "bvals, n, m, cap",
     [
-        ([1, 2], 5, 7, None),  # needs 5 values
-        ([1, 2], 300, 7, 20),  # needs 20 values, past the crossover
+        ([1, 2], 5, 7, None),  # needs 5 values; DP side
+        ([1, 2], 300, 7, 20),  # needs 20 values; tree side
         ([1] * 10, -1, 7, None),
-        ([1] * 10, 5, 1, None),
-        ([1] * 10, 5, 0, None),
+        ([1] * 10, 5, 1, None),  # DP side
+        ([1] * 10, 5, 0, None),  # DP side
+        ([1] * 400, 300, 1, None),  # tree side
+        ([1] * 400, 300, -5, None),  # tree side
     ],
 )
 def test_engines_raise_the_same_errors(bvals, n, m, cap):
-    with pytest.raises(ValueError) as ref:
-        _dyck_py.dyck_dp(bvals, n, m, cap)
-    with pytest.raises(ValueError) as got:
-        series.dyck_series_mod(bvals, n, m, cap)
-    with pytest.raises(DomainError) as via_kernel:
+    """Both kernel entry points raise the user-visible DomainError, whichever
+    engine the arguments would select; exact calls share the texts that do
+    not concern the modulus."""
+    with pytest.raises(DomainError, match=ERROR_TEXT) as residue:
         kernel.dyck_dp_mod(bvals, n, m, cap)
-    assert str(got.value) == str(via_kernel.value) == str(ref.value)
+    if m < 2:
+        assert str(residue.value) == f"modulus must be at least 2, got {m}"
+        return
+    with pytest.raises(DomainError) as exact:
+        kernel.dyck_dp_exact(bvals, n, cap)
+    assert str(exact.value) == str(residue.value)
 
 
 @given(cases(st.integers(0, 40)))
 @settings(max_examples=40, deadline=None)
 def test_dp_residues_reduce_the_exact_values(case):
     bvals, n, m, cap = case
-    exact = _dyck_py.dyck_dp(bvals, n, None, cap)
-    assert _dyck_py.dyck_dp(bvals, n, m, cap) == [v % m for v in exact]
+    h = kernel._check_args(bvals, n, m, cap)
+    exact = kernel._dyck_dp(bvals, n, None, h)
+    assert kernel._dyck_dp(bvals, n, m, h) == [v % m for v in exact]
 
 
 def _schoolbook(f, g, m):
