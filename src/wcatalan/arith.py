@@ -188,15 +188,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not self.coefficients or not other.coefficients:
-            return IntPolynomial(())
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
     def coefficients_mod(self, modulus: int) -> tuple[int, ...]:
         """Coefficients reduced into [0, modulus), trailing zeros dropped."""
         if modulus < 2:

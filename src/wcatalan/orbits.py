@@ -23,7 +23,6 @@ from .weights import EpsilonSequence, WeightFunction, WeightMembershipError
 
 __all__ = [
     "OrbitShape",
-    "CoinConfiguration",
     "enumerate_orbits",
     "orbit_size",
     "minimal_orbits",
@@ -33,7 +32,6 @@ __all__ = [
     "epsilon_direct",
     "epsilon_recursive",
     "coin_oracle",
-    "enumerate_coin_configurations",
     "reduce_orbit",
     "minimal_parity_sum",
     "DEFAULT_ENUM_CAP",
@@ -247,57 +245,43 @@ def is_complete_shape(shape: OrbitShape) -> bool:
     return not shape.is_empty and _is_complete_key(shape.key, shape.q)
 
 
-def _ordered_binary_trees(n: int):
-    """All ordered binary trees on n vertices as nested (left, right) pairs."""
-    if n == 0:
-        yield None
-        return
-    for left_size in range(n):
-        for left in _ordered_binary_trees(left_size):
-            for right in _ordered_binary_trees(n - 1 - left_size):
-                yield (left, right)
+@lru_cache(maxsize=None)
+def _minimal_keys(depths: tuple) -> frozenset:
+    """Keys of complete trees of the given depths hung below a binary skeleton.
 
-
-def _complete_ordered(depth: int):
-    if depth == 0:
-        return None
-    sub = _complete_ordered(depth - 1)
-    return (sub, sub)
-
-
-def _attach(tree, depth_iter):
-    if tree is None:
-        return _complete_ordered(next(depth_iter))
-    return (_attach(tree[0], depth_iter), _attach(tree[1], depth_iter))
-
-
-def _ordered_to_key(tree):
-    if tree is None:
-        return None
-    kids = [k for k in (_ordered_to_key(tree[0]), _ordered_to_key(tree[1])) if k is not None]
-    return tuple(sorted(kids))
+    One depth d gives the complete tree of depth d (depth 0 is the empty
+    tree).  Two or more sit below a skeleton vertex whose two subtrees take
+    every split of the depths into two nonempty parts.
+    """
+    if len(depths) == 1:
+        return frozenset([complete_shape(depths[0]).key])
+    head, rest = depths[0], depths[1:]
+    keys = set()
+    for mask in range((1 << len(rest)) - 1):
+        left = (head,) + tuple(d for i, d in enumerate(rest) if mask >> i & 1)
+        right = tuple(d for i, d in enumerate(rest) if not mask >> i & 1)
+        for lk in _minimal_keys(left):
+            for rk in _minimal_keys(right):
+                keys.add(tuple(sorted(k for k in (lk, rk) if k is not None)))
+    return frozenset(keys)
 
 
 def minimal_orbits(n: int, q: int = 2) -> list[OrbitShape]:
     """All orbits of minimum size 2**s on n vertices, s = s_2(n+1) - 1.
 
-    Write n+1 = 2^{k_1} + ... + 2^{k_{s+1}}.  Every minimal orbit arises
-    from an ordered binary tree on s vertices with fully symmetric trees of
-    depths k_1, ..., k_{s+1} attached at its s+1 empty slots (depth 0 is
-    the empty tree); the result is deduplicated by canonical key.
+    Write n+1 = 2^{k_1} + ... + 2^{k_{s+1}}.  Every minimal orbit is a
+    binary skeleton on s vertices with fully symmetric trees of depths
+    k_1, ..., k_{s+1} at its s+1 empty slots (depth 0 is the empty tree).
+    The keys are built by splitting the depths between the two subtrees of
+    each skeleton vertex, so every orbit is produced directly as a key.
     """
     if q != 2:
         raise DomainError("minimal-orbit construction is implemented for binary trees only")
     if n < 1:
         raise DomainError("vertex count must be at least 1")
-    depths = [i for i in range((n + 1).bit_length()) if (n + 1) >> i & 1]
-    depths.sort(reverse=True)
+    depths = tuple(i for i in range((n + 1).bit_length()) if (n + 1) >> i & 1)
     s = len(depths) - 1
-    keys = set()
-    for skeleton in _ordered_binary_trees(s):
-        for perm in set(itertools.permutations(depths)):
-            keys.add(_ordered_to_key(_attach(skeleton, iter(perm))))
-    shapes = [OrbitShape(2, k) for k in sorted(keys)]
+    shapes = [OrbitShape(2, k) for k in sorted(_minimal_keys(depths))]
     assert all(orbit_size(sh) == 1 << s for sh in shapes)
     return shapes
 
@@ -522,76 +506,6 @@ def coin_oracle(
                         break
                 total += w
     return total % 2
-
-
-@dataclass(frozen=True)
-class CoinConfiguration:
-    """One sibling-free edge selection plus a placement of all coins.
-
-    Edges are (parent, child) vertex pairs in the canonical ordered
-    representative; placement maps each coin label (ints 1..m for free
-    coins, "e<i>" for the coin of the i-th selected edge) to a vertex.
-    """
-
-    shape: OrbitShape
-    selected_edges: tuple[tuple[int, int], ...]
-    placement: tuple[tuple[str, int], ...]
-
-    def counts(self) -> Counter:
-        per_vertex = Counter(v for _, v in self.placement)
-        for v in range(self.shape.vertex_count):
-            per_vertex.setdefault(v, 0)
-        return per_vertex
-
-    def count_profile(self) -> Counter:
-        """Multiset {coin count -> number of vertices}; determines the weight."""
-        return Counter(self.counts().values())
-
-    def weight(self, eps) -> int:
-        bits = tuple(eps)
-        w = 1
-        for _, c in self.counts().items():
-            w *= bits[c]
-        return w
-
-    def validate(self) -> None:
-        children, subtree = _ordered_representative(self.shape.key)
-        parents = [e[0] for e in self.selected_edges]
-        if len(parents) != len(set(parents)):
-            raise DomainError("two selected edges are siblings")
-        for parent, child in self.selected_edges:
-            if child not in children[parent]:
-                raise DomainError(f"({parent}, {child}) is not an edge")
-        placed = dict(self.placement)
-        expected = {f"e{i}" for i in range(len(self.selected_edges))}
-        expected |= {str(i) for i in range(1, self._order() + 1)}
-        if set(placed) != expected:
-            raise DomainError("placement does not cover exactly the required coins")
-        for i, (_, child) in enumerate(self.selected_edges):
-            if placed[f"e{i}"] not in subtree[child]:
-                raise DomainError(f"coin e{i} is not at a descendant of its edge")
-
-    def _order(self) -> int:
-        return sum(1 for label, _ in self.placement if not label.startswith("e"))
-
-
-def enumerate_coin_configurations(shape: OrbitShape, m: int):
-    """All coin-configurations of order m (exponential; tiny shapes only)."""
-    if shape.q != 2:
-        raise DomainError("coin configurations are defined for binary orbits only")
-    if shape.is_empty:
-        return
-    children, subtree = _ordered_representative(shape.key)
-    n_v = shape.vertex_count
-    for picks in itertools.product(*[[None] + children[v] for v in range(n_v)]):
-        edges = tuple((p, c) for p, c in enumerate(picks) if c is not None)
-        edge_domains = [subtree[c] for _, c in edges]
-        free_domains = [range(n_v)] * m
-        for spots in itertools.product(*edge_domains, *free_domains):
-            placement = tuple(
-                (f"e{i}", spots[i]) for i in range(len(edges))
-            ) + tuple((str(j + 1), spots[len(edges) + j]) for j in range(m))
-            yield CoinConfiguration(shape, edges, placement)
 
 
 def reduce_orbit(shape: OrbitShape) -> tuple[OrbitShape, int]:

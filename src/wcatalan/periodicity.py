@@ -227,7 +227,6 @@ def analyze_weight_period(
     b: WeightFunction,
     modulus: int,
     max_terms: int = 2048,
-    truncation_bound: int = DEFAULT_TRUNCATION_BOUND,
 ) -> PeriodReport:
     """End-to-end period analysis of the weighted Catalan residues mod m.
 
@@ -236,7 +235,7 @@ def analyze_weight_period(
     of the truncated denominator; otherwise the full DP runs uncertified
     with state width 4.
     """
-    k = truncation_index(b, modulus, truncation_bound)
+    k = truncation_index(b, modulus, DEFAULT_TRUNCATION_BOUND)
     if k is None:
         cap = None
         width = 4

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .arith import ValueTable, digit_sum, finite_difference, is_prime, newton_coefficients
+from .arith import ValueTable, digit_sum, finite_difference, newton_coefficients
 from .errors import DomainError, WeightSpecError
 
 __all__ = [

@@ -62,6 +62,7 @@ CASES = [
     ('check --weight table:1,3,5,7,9,11 --theorem ps --window 0..5', 0, '', 'c6dd8693b6f4e21a'),
     ('orbits --n 7 --reduce', 0, '', '300984dcc6767f7a'),
     ('orbits --n 9 --minimal', 0, '', '559234fb874b08d6'),
+    ('orbits --n 46 --minimal --reduce', 0, '', 'ba81b338c775681f'),
     ('orbits --n 12 --max-orbit-n 5', 4, 'error: orbit enumeration capped at 5 vertices (requested 12); raise the cap explicitly to go further\n', 'e3b0c44298fc1c14'),
     ('epsilon --weight preset:morse --shape (()()) --m 4', 0, '', '0f86db94f617c6ae'),
     ('period --weight preset:morse --mod 7 --max-terms 500', 0, '', 'd9c1e11fbce8a52d'),

@@ -1,17 +1,18 @@
+import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
 from wcatalan.catalan import catalan_number, weighted_catalan
 from wcatalan.errors import DomainError, ResourceLimitError
 from wcatalan.orbits import (
-    CoinConfiguration,
     OrbitShape,
+    _ordered_representative,
     average_weight,
     coin_oracle,
     complete_shape,
-    enumerate_coin_configurations,
     enumerate_orbits,
     epsilon_direct,
     epsilon_recursive,
@@ -127,7 +128,7 @@ class TestMinimalOrbits:
     def test_double_factorial_counts(self):
         from wcatalan.arith import digit_sum
 
-        for n in range(1, 17):
+        for n in range(1, 65):
             s = digit_sum(2, n + 1) - 1
             expected = math.factorial(2 * s) // (2**s * math.factorial(s)) if s else 1
             assert len(minimal_orbits(n)) == expected, n
@@ -290,6 +291,80 @@ class TestEpsilonOracles:
                 d = epsilon_direct(s, b, 2)
                 r = epsilon_recursive(s, eps_b, 2)
                 assert d.bits == r.bits, (s.to_parens(), d.bits, r.bits)
+
+
+# Brute-force coin configurations: the explicit reference the coin oracle's
+# per-vertex counting is checked against (exponential; tiny shapes only).
+
+
+@dataclass(frozen=True)
+class CoinConfiguration:
+    """One sibling-free edge selection plus a placement of all coins.
+
+    Edges are (parent, child) vertex pairs in the canonical ordered
+    representative; placement maps each coin label (ints 1..m for free
+    coins, "e<i>" for the coin of the i-th selected edge) to a vertex.
+    """
+
+    shape: OrbitShape
+    selected_edges: tuple[tuple[int, int], ...]
+    placement: tuple[tuple[str, int], ...]
+
+    def counts(self) -> Counter:
+        per_vertex = Counter(v for _, v in self.placement)
+        for v in range(self.shape.vertex_count):
+            per_vertex.setdefault(v, 0)
+        return per_vertex
+
+    def count_profile(self) -> Counter:
+        """Multiset {coin count -> number of vertices}; determines the weight."""
+        return Counter(self.counts().values())
+
+    def weight(self, eps) -> int:
+        bits = tuple(eps)
+        w = 1
+        for _, c in self.counts().items():
+            w *= bits[c]
+        return w
+
+    def validate(self) -> None:
+        children, subtree = _ordered_representative(self.shape.key)
+        parents = [e[0] for e in self.selected_edges]
+        if len(parents) != len(set(parents)):
+            raise DomainError("two selected edges are siblings")
+        for parent, child in self.selected_edges:
+            if child not in children[parent]:
+                raise DomainError(f"({parent}, {child}) is not an edge")
+        placed = dict(self.placement)
+        expected = {f"e{i}" for i in range(len(self.selected_edges))}
+        expected |= {str(i) for i in range(1, self._order() + 1)}
+        if set(placed) != expected:
+            raise DomainError("placement does not cover exactly the required coins")
+        for i, (_, child) in enumerate(self.selected_edges):
+            if placed[f"e{i}"] not in subtree[child]:
+                raise DomainError(f"coin e{i} is not at a descendant of its edge")
+
+    def _order(self) -> int:
+        return sum(1 for label, _ in self.placement if not label.startswith("e"))
+
+
+def enumerate_coin_configurations(shape: OrbitShape, m: int):
+    """All coin-configurations of order m (exponential; tiny shapes only)."""
+    if shape.q != 2:
+        raise DomainError("coin configurations are defined for binary orbits only")
+    if shape.is_empty:
+        return
+    children, subtree = _ordered_representative(shape.key)
+    n_v = shape.vertex_count
+    for picks in itertools.product(*[[None] + children[v] for v in range(n_v)]):
+        edges = tuple((p, c) for p, c in enumerate(picks) if c is not None)
+        edge_domains = [subtree[c] for _, c in edges]
+        free_domains = [range(n_v)] * m
+        for spots in itertools.product(*edge_domains, *free_domains):
+            placement = tuple(
+                (f"e{i}", spots[i]) for i in range(len(edges))
+            ) + tuple((str(j + 1), spots[len(edges) + j]) for j in range(m))
+            yield CoinConfiguration(shape, edges, placement)
 
 
 class TestCoinOracle:
