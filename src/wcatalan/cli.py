@@ -101,10 +101,11 @@ def _cmd_orbits(args, started) -> int:
     )
     rows = []
     for sh in shapes:
+        parens = sh.to_parens()
         row = {
-            "shape": sh.to_parens(),
+            "shape": parens,
             "size": orbits.orbit_size(sh),
-            "vertices": sh.vertex_count,
+            "vertices": len(parens) // 2,
         }
         if args.reduce:
             reduced, removed = orbits.reduce_orbit(sh)
@@ -121,8 +122,26 @@ def _cmd_orbits(args, started) -> int:
     return EXIT_OK
 
 
+def _parens_depth(text: str) -> int:
+    """Deepest nesting of a parentheses string, by one linear scan."""
+    depth = deepest = 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch == ")":
+            depth -= 1
+    return deepest
+
+
 def _cmd_epsilon(args, started) -> int:
     b = parse_weight_spec(args.weight)
+    depth = _parens_depth(args.shape)
+    if depth > orbits.EPSILON_DEPTH_CAP:
+        raise ResourceLimitError(
+            f"carry oracles capped at shape depth {orbits.EPSILON_DEPTH_CAP}"
+            f" (requested {depth})"
+        )
     shape = orbits.OrbitShape.from_parens(args.shape, args.q)
     need = args.m + max(shape.depth, shape.vertex_count) + 1
     eps_b = epsilon_of_weight(b, need, base=args.q)

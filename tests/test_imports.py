@@ -1,8 +1,8 @@
-"""No unused imports in the library.
+"""No unused imports in the library or its tests.
 
-Every name a module of `src/wcatalan` imports must be read somewhere in
-that module or be re-exported through its `__all__`.  `from __future__`
-imports are directives, not names.
+Every name a module of `src/wcatalan` or `tests/` imports must be read
+somewhere in that module or be re-exported through its `__all__`.
+`from __future__` imports are directives, not names.
 """
 
 import ast
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wcatalan"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "wcatalan"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -38,7 +39,11 @@ def _exported_names(tree: ast.Module) -> set[str]:
     return set()
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}",
+)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = _imported_names(tree)

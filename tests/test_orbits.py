@@ -2,14 +2,20 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wcatalan import orbits
 from wcatalan.catalan import catalan_number, weighted_catalan
 from wcatalan.errors import DomainError, ResourceLimitError
 from wcatalan.orbits import (
     OrbitShape,
     _ordered_representative,
+    _shape_keys,
+    _subtree_size,
     average_weight,
     coin_oracle,
     complete_shape,
@@ -118,6 +124,96 @@ class TestOrbitSize:
             assert smallest == 2 ** (digit_sum(2, n + 1) - 1)
 
 
+# Recursive references for the row path: the per-node Counter size formula,
+# the parens join and the vertex count.  They are memoised by key only so the
+# minimal-orbit census, whose keys share their complete subtrees, stays fast.
+
+
+@cache
+def reference_size(key, q: int) -> int:
+    ways = math.factorial(q) // math.factorial(q - len(key))
+    for m in Counter(key).values():
+        ways //= math.factorial(m)
+    for child in key:
+        ways *= reference_size(child, q)
+    return ways
+
+
+@cache
+def reference_parens(key) -> str:
+    return "(" + "".join(reference_parens(k) for k in key) + ")"
+
+
+@cache
+def reference_vertices(key) -> int:
+    return 1 + sum(reference_vertices(k) for k in key)
+
+
+def assert_rows_match_references(shape):
+    key, q = shape.key, shape.q
+    assert orbit_size(shape) == reference_size(key, q), (q, key)
+    assert shape.to_parens() == reference_parens(key), (q, key)
+    assert shape.vertex_count == reference_vertices(key), (q, key)
+
+
+@st.composite
+def parens_strings(draw, q):
+    """A random ordered tree with at most q children per node, as parens."""
+    tree = draw(
+        st.recursive(
+            st.just(()),
+            lambda kids: st.lists(kids, max_size=q).map(tuple),
+            max_leaves=40,
+        )
+    )
+    return reference_parens(tree)
+
+
+class TestRowPath:
+    @pytest.mark.parametrize("q, n_max", [(2, 14), (3, 10), (4, 9)])
+    def test_every_enumerated_key(self, q, n_max):
+        for n in range(1, n_max + 1):
+            for shape in enumerate_orbits(n, q):
+                assert_rows_match_references(shape)
+
+    def test_every_minimal_key(self):
+        for n in range(1, 130):
+            for shape in minimal_orbits(n):
+                assert_rows_match_references(shape)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_parens_shapes(self, data):
+        q = data.draw(st.integers(2, 4))
+        text = data.draw(parens_strings(q))
+        shape = OrbitShape.from_parens(text, q)
+        assert_rows_match_references(shape)
+        assert len(shape.to_parens()) == len(text)
+        assert OrbitShape.from_parens(shape.to_parens(), q) == shape
+
+    def test_memo_holds_inner_subtrees_only(self):
+        # after enumeration, the row loop may fill only the size memo, and
+        # only with child subtrees: never one entry per top-level row
+        n, q = 13, 2
+        caches = [
+            value
+            for value in vars(orbits).values()
+            if callable(getattr(value, "cache_info", None))
+        ]
+        for cache in caches:
+            cache.cache_clear()
+        shapes = enumerate_orbits(n, q)
+        others = [c for c in caches if c is not _subtree_size]
+        before = [c.cache_info().currsize for c in others]
+        for shape in shapes:
+            orbit_size(shape)
+            shape.to_parens()
+            shape.vertex_count
+        inner_keys = sum(len(_shape_keys(k, q)) for k in range(1, n))
+        assert _subtree_size.cache_info().currsize <= inner_keys < len(shapes)
+        assert [c.cache_info().currsize for c in others] == before
+
+
 class TestMinimalOrbits:
     def test_complete_cases(self):
         for k in (1, 2, 3, 4):
@@ -128,7 +224,8 @@ class TestMinimalOrbits:
     def test_double_factorial_counts(self):
         from wcatalan.arith import digit_sum
 
-        for n in range(1, 65):
+        # n = 126 is s = 6: 10,395 orbits, each through the orbit-size assert
+        for n in [*range(1, 65), 126]:
             s = digit_sum(2, n + 1) - 1
             expected = math.factorial(2 * s) // (2**s * math.factorial(s)) if s else 1
             assert len(minimal_orbits(n)) == expected, n
