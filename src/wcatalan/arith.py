@@ -1,29 +1,25 @@
 """Exact integer utilities shared across the package.
 
 Everything here is arbitrary-precision and pure: valuations and digit
-sums, finite-difference windows with shift bookkeeping, Lucas binomials,
-and truncated power-series division over Z/mZ.
+sums, finite-difference windows with shift bookkeeping, integer
+polynomials, and the exact power-series division that the tests use as the
+reference for the residue engine in `series`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from . import series
 from .errors import DomainError
 
 __all__ = [
     "ValueTable",
     "IntPolynomial",
-    "ModSeries",
     "valuation",
     "digit_sum",
     "finite_difference",
     "newton_coefficients",
     "is_prime",
-    "binomial_mod_p",
-    "series_divide",
     "series_divide_exact",
 ]
 
@@ -138,25 +134,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def binomial_mod_p(n: int, m: int, p: int) -> int:
-    """C(n, m) mod p for prime p, via base-p digit products.
-
-    Zero as soon as some base-p digit of m exceeds the matching digit of n.
-    """
-    if not is_prime(p):
-        raise DomainError(f"binomial_mod_p needs a prime modulus, got {p}")
-    if n < 0 or m < 0:
-        raise DomainError("binomial arguments must be nonnegative")
-    result = 1
-    while n or m:
-        n, nd = divmod(n, p)
-        m, md = divmod(m, p)
-        if md > nd:
-            return 0
-        result = result * math.comb(nd, md) % p
-    return result
-
-
 @dataclass(frozen=True)
 class IntPolynomial:
     """Integer polynomial, ascending coefficients, no trailing zeros."""
@@ -198,54 +175,10 @@ class IntPolynomial:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class ModSeries:
-    """Truncated power series over Z/mZ; every coefficient reduced."""
-
-    modulus: int
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise DomainError(f"series modulus must be at least 2, got {self.modulus}")
-        object.__setattr__(
-            self, "coefficients", tuple(c % self.modulus for c in self.coefficients)
-        )
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-    def __getitem__(self, i):
-        return self.coefficients[i]
-
-    def __iter__(self):
-        return iter(self.coefficients)
-
-
 def _coeff_list(poly) -> list[int]:
     if isinstance(poly, IntPolynomial):
         return list(poly.coefficients)
     return list(poly)
-
-
-def series_divide(p, q, modulus: int, order: int) -> ModSeries:
-    """First `order` coefficients of the power series p/q over Z/mZ.
-
-    Multiplies p by the Newton inverse of q, both through the Kronecker
-    products of `series`.
-    """
-    if modulus < 2:
-        raise DomainError(f"series modulus must be at least 2, got {modulus}")
-    if order < 0:
-        raise DomainError("series order must be nonnegative")
-    pc = [c % modulus for c in _coeff_list(p)[:order]]
-    qc = _coeff_list(q)
-    q0 = qc[0] if qc else 0
-    if math.gcd(q0, modulus) != 1:
-        raise DomainError(f"non-invertible constant term: gcd({q0}, {modulus}) != 1")
-    inverse = series.inverse_mod([c % modulus for c in qc[:order]], modulus, order)
-    out = series.mul_mod(pc, inverse, modulus, order)
-    return ModSeries(modulus, tuple(out) + (0,) * (order - len(out)))
 
 
 def series_divide_exact(p, q, order: int) -> list[int]:

@@ -8,38 +8,19 @@ non-right depth x carries weight b(x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import kernel
 from .errors import DomainError
 from .weights import WeightFunction
 
 __all__ = [
-    "CatalanValue",
     "weighted_catalan",
-    "weighted_catalan_value",
     "weighted_catalan_series",
     "q_weighted_catalan",
     "q_catalan",
     "catalan_number",
     "catalan_series",
 ]
-
-
-@dataclass(frozen=True)
-class CatalanValue:
-    """One computed weighted Catalan number, tagged with its parameters."""
-
-    n: int
-    value: int
-    weight_id: str
-    q: int = 2
-
-
-def weighted_catalan_value(b: WeightFunction, n: int, q: int = 2) -> CatalanValue:
-    """Compute and tag one value; dispatches on the branching."""
-    value = weighted_catalan(b, n) if q == 2 else q_weighted_catalan(b, q, n)
-    return CatalanValue(n, value, b.describe(), q)
 
 
 def weighted_catalan_series(

@@ -42,7 +42,7 @@ def _parse_range(text: str) -> range:
     return range(a, b + 1)
 
 
-def _emit(args, command: str, parameters: dict, result, started: float) -> None:
+def _emit(command: str, parameters: dict, result, started: float) -> None:
     envelope = {
         "command": command,
         "parameters": parameters,
@@ -63,7 +63,7 @@ def _cmd_compute(args, started) -> int:
     else:
         value = catalan.q_weighted_catalan(b, args.q, args.n)
         result = value if args.mod is None else value % args.mod
-    _emit(args, "compute", params, result, started)
+    _emit("compute", params, result, started)
     return EXIT_OK
 
 
@@ -80,7 +80,7 @@ def _cmd_valuation(args, started) -> int:
         "expr": args.expr,
         "range": args.range,
     }
-    _emit(args, "valuation", params, profile.to_json_dict(), started)
+    _emit("valuation", params, profile.to_json_dict(), started)
     return EXIT_OK
 
 
@@ -89,7 +89,7 @@ def _cmd_check(args, started) -> int:
     window = _parse_range(args.window) if args.window else None
     report = check_conditions(b, args.theorem, window=window)
     params = {"weight": args.weight, "theorem": args.theorem}
-    _emit(args, "check", params, report.to_json_dict(), started)
+    _emit("check", params, report.to_json_dict(), started)
     return EXIT_OK
 
 
@@ -118,7 +118,7 @@ def _cmd_orbits(args, started) -> int:
         "minimal": args.minimal,
         "reduce": args.reduce,
     }
-    _emit(args, "orbits", params, rows, started)
+    _emit("orbits", params, rows, started)
     return EXIT_OK
 
 
@@ -142,6 +142,11 @@ def _cmd_epsilon(args, started) -> int:
             f"carry oracles capped at shape depth {orbits.EPSILON_DEPTH_CAP}"
             f" (requested {depth})"
         )
+    if args.m > orbits.EPSILON_ORDER_CAP:
+        raise ResourceLimitError(
+            f"carry oracles capped at order {orbits.EPSILON_ORDER_CAP}"
+            f" (requested {args.m})"
+        )
     shape = orbits.OrbitShape.from_parens(args.shape, args.q)
     need = args.m + max(shape.depth, shape.vertex_count) + 1
     eps_b = epsilon_of_weight(b, need, base=args.q)
@@ -156,36 +161,32 @@ def _cmd_epsilon(args, started) -> int:
         results["direct"] = list(orbits.epsilon_direct(shape, b, args.m).bits)
     if args.method in ("recursive", "all"):
         results["recursive"] = list(orbits.epsilon_recursive(shape, eps_b, args.m).bits)
-    if args.method == "coin":
-        results["coin"] = [
-            orbits.coin_oracle(shape, eps_b, j) for j in range(args.m + 1)
-        ]
-    elif args.method == "all":
-        within_caps = (
+    if args.method in ("coin", "all"):
+        # `all` skips the coin oracle beyond its caps and for non-binary shapes
+        run_coin = args.method == "coin" or (
             shape.q == 2
             and shape.vertex_count <= orbits.COIN_VERTEX_CAP
             and args.m <= orbits.COIN_ORDER_CAP
         )
-        if within_caps:
-            results["coin"] = [
-                orbits.coin_oracle(shape, eps_b, j) for j in range(args.m + 1)
-            ]
-        else:
-            results["coin"] = None  # skipped: beyond caps or non-binary
+        results["coin"] = (
+            [orbits.coin_oracle(shape, eps_b, j) for j in range(args.m + 1)]
+            if run_coin
+            else None
+        )
+    code = EXIT_OK
     if args.method == "all":
         present = [v for v in results.values() if v is not None]
         results["agree"] = all(v == present[0] for v in present)
-        _emit(args, "epsilon", params, results, started)
-        return EXIT_OK if results["agree"] else EXIT_DISAGREE
-    _emit(args, "epsilon", params, results, started)
-    return EXIT_OK
+        code = EXIT_OK if results["agree"] else EXIT_DISAGREE
+    _emit("epsilon", params, results, started)
+    return code
 
 
 def _cmd_period(args, started) -> int:
     b = parse_weight_spec(args.weight)
     report = periodicity.analyze_weight_period(b, args.mod, max_terms=args.max_terms)
     params = {"weight": args.weight, "mod": args.mod, "max_terms": args.max_terms}
-    _emit(args, "period", params, report.to_json_dict(), started)
+    _emit("period", params, report.to_json_dict(), started)
     return EXIT_OK
 
 
@@ -206,7 +207,7 @@ def _cmd_pq(args, started) -> int:
             "mod": args.mod,
         }
     params = {"weight": args.weight, "truncate": args.truncate, "mod": args.mod}
-    _emit(args, "pq", params, result, started)
+    _emit("pq", params, result, started)
     return EXIT_OK
 
 
@@ -215,14 +216,14 @@ def _cmd_morse(args, started) -> int:
         if args.pow3 is not None:
             check = morse.mod3r_period_check(args.pow3, window=args.max_terms)
             params = {"pow3": args.pow3, "max_terms": args.max_terms}
-            _emit(args, "morse period", params, check.to_json_dict(), started)
+            _emit("morse period", params, check.to_json_dict(), started)
             return EXIT_OK
         if args.mod is None:
             raise WeightSpecError("morse period needs --mod M or --pow3 R")
         terms = 2048 if args.max_terms is None else args.max_terms
         report = periodicity.analyze_weight_period(morse.MORSE, args.mod, max_terms=terms)
         params = {"mod": args.mod, "max_terms": args.max_terms}
-        _emit(args, "morse period", params, report.to_json_dict(), started)
+        _emit("morse period", params, report.to_json_dict(), started)
         return EXIT_OK
     if args.morse_cmd == "profile":
         rng = _parse_range(args.range)
@@ -231,18 +232,18 @@ def _cmd_morse(args, started) -> int:
             sys.stdout.write(profile.to_csv())
             return EXIT_OK
         params = {"expr": args.expr, "p": args.p, "range": args.range}
-        _emit(args, "morse profile", params, profile.to_json_dict(), started)
+        _emit("morse profile", params, profile.to_json_dict(), started)
         return EXIT_OK
     if args.morse_cmd == "fit-alpha":
         report = morse.conjecture_report(args.which, args.n_max, args.depth)
         fit = report["fit"] if "fit" in report else report
         params = {"which": args.which, "n_max": args.n_max, "depth": args.depth}
-        _emit(args, "morse fit-alpha", params, fit, started)
+        _emit("morse fit-alpha", params, fit, started)
         return EXIT_OK
     # report
     report = morse.conjecture_report(args.which, args.n_max, args.depth)
     params = {"which": args.which, "n_max": args.n_max, "depth": args.depth}
-    _emit(args, "morse report", params, report, started)
+    _emit("morse report", params, report, started)
     return EXIT_OK
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "MORSE",
     "morse_weight",
     "morse_number",
-    "morse_series",
     "ValuationProfile",
     "ProfileRow",
     "valuation_profile",
@@ -53,11 +52,6 @@ def morse_weight(power: int = 1) -> WeightFunction:
 def morse_number(n: int) -> int:
     """Exact number of combinatorial types of Morse links of order n."""
     return catalan.weighted_catalan(MORSE, n)
-
-
-def morse_series(n_max: int) -> list[int]:
-    """Exact L_0..L_{n_max}."""
-    return catalan.weighted_catalan_series(MORSE, n_max)
 
 
 def _expression_values(

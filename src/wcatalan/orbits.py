@@ -26,17 +26,16 @@ __all__ = [
     "orbit_size",
     "minimal_orbits",
     "complete_shape",
-    "is_complete_shape",
     "average_weight",
     "epsilon_direct",
     "epsilon_recursive",
     "coin_oracle",
     "reduce_orbit",
-    "minimal_parity_sum",
     "DEFAULT_ENUM_CAP",
     "COIN_VERTEX_CAP",
     "COIN_ORDER_CAP",
     "EPSILON_DEPTH_CAP",
+    "EPSILON_ORDER_CAP",
 ]
 
 DEFAULT_ENUM_CAP = 16
@@ -48,6 +47,11 @@ COIN_ORDER_CAP = 4
 # takes at most 0.6 s on every method, depth 64 up to 5 s; the ternary
 # recursive oracle takes 1.6-2.6 s at depth 32 and 9-15 s at depth 48.
 EPSILON_DEPTH_CAP = 32
+# Largest order m the `epsilon` command hands to the carry oracles, checked
+# next to the depth cap.  The recursive oracle, which `--method all` runs,
+# takes 0.2 s at m = 32, 0.6 s at m = 64 and 3.3 s at m = 128 on (()(())),
+# and 1.3 s at m = 32 and 5.7 s at m = 64 on a path of depth 32 (same machine).
+EPSILON_ORDER_CAP = 32
 
 
 # A key's repr is its parentheses encoding with ", " between children and a
@@ -260,11 +264,6 @@ def _is_complete_key(key, q: int) -> bool:
         return False
     first = key[0]
     return all(k == first for k in key[1:]) and _is_complete_key(first, q)
-
-
-def is_complete_shape(shape: OrbitShape) -> bool:
-    """True for fully symmetric trees; these are exactly the orbits of size 1."""
-    return not shape.is_empty and _is_complete_key(shape.key, shape.q)
 
 
 @lru_cache(maxsize=None)
@@ -554,15 +553,3 @@ def reduce_orbit(shape: OrbitShape) -> tuple[OrbitShape, int]:
 
     new_key, removed = rec(shape.key)
     return OrbitShape(q, new_key), removed
-
-
-def minimal_parity_sum(n: int, b: WeightFunction) -> int:
-    """Parity of the sum of e^O_0 over all minimal orbits on n vertices.
-
-    Equals 1 whenever b satisfies the relaxed valuation-theorem hypotheses
-    (odd b(0), 4 | diff b, 2^n | diff^n b for n >= 2).
-    """
-    total = 0
-    for shape in minimal_orbits(n):
-        total += epsilon_direct(shape, b, 0).bits[0]
-    return total % 2

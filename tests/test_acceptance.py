@@ -18,7 +18,6 @@ from wcatalan.morse import (
     MORSE,
     conjecture_report,
     mod3r_period_check,
-    morse_series,
 )
 from wcatalan.orbits import (
     average_weight,
@@ -45,7 +44,7 @@ def _report(criterion, text):
 
 
 def test_criterion_1_two_adic_valuation_theorem():
-    series = morse_series(300)
+    series = weighted_catalan_series(MORSE, 300)
     for n in range(1, 301):
         assert valuation(2, series[n]) == digit_sum(2, n + 1) - 1, n
     _report(1, "xi_2(L_n) = s_2(n+1) - 1 for 1 <= n <= 300, exact")

@@ -185,13 +185,3 @@ class TestQAry:
     def test_catalan_series(self):
         assert catalan_series(6) == [1, 1, 2, 5, 14, 42, 132]
         assert catalan_series(40)[40] == catalan_number(40)
-
-
-class TestCatalanValue:
-    def test_tagging(self):
-        from wcatalan.catalan import weighted_catalan_value
-
-        v = weighted_catalan_value(MORSE, 0)
-        assert v.value == 1 and v.q == 2  # the empty path always contributes 1
-        v3 = weighted_catalan_value(ONES, 2, q=3)
-        assert v3.value == 3 and v3.weight_id == "preset:ones"

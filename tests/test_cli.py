@@ -155,6 +155,24 @@ class TestEpsilon:
                 f"error: carry oracles capped at shape depth {cap} (requested {depth})\n"
             )
 
+    @pytest.mark.parametrize("method", ["direct", "recursive", "coin", "all"])
+    def test_order_cap(self, capsys, method):
+        cap = orbits.EPSILON_ORDER_CAP
+        if method != "coin":  # the coin oracle has its own, lower order cap
+            env = run_json(
+                capsys, "epsilon", "--weight", "preset:morse", "--shape", "()",
+                "--m", str(cap), "--method", method,
+            )
+            assert env["result"]["direct" if method == "all" else method] == [1] + [0] * cap
+        # refused before the shape is parsed or any oracle runs
+        for m, shape in ((cap + 1, "(())"), (10**9, "(")):
+            code, out, err = run_cli(
+                capsys, "epsilon", "--weight", "preset:morse", "--shape", shape,
+                "--m", str(m), "--method", method,
+            )
+            assert (code, out) == (4, "")
+            assert err == f"error: carry oracles capped at order {cap} (requested {m})\n"
+
 
 class TestValuation:
     def test_csv(self, capsys):

@@ -68,6 +68,7 @@ CASES = [
     ('orbits --n 12 --max-orbit-n 5', 4, 'error: orbit enumeration capped at 5 vertices (requested 12); raise the cap explicitly to go further\n', 'e3b0c44298fc1c14'),
     ('epsilon --weight preset:morse --shape (()()) --m 4', 0, '', '0f86db94f617c6ae'),
     ('epsilon --weight preset:morse --m 1 --shape ' + '(' * 33 + ')' * 33, 4, 'error: carry oracles capped at shape depth 32 (requested 33)\n', 'e3b0c44298fc1c14'),
+    ('epsilon --weight preset:morse --shape (()) --m 33', 4, 'error: carry oracles capped at order 32 (requested 33)\n', 'e3b0c44298fc1c14'),
     ('period --weight preset:morse --mod 7 --max-terms 500', 0, '', 'd9c1e11fbce8a52d'),
     ('period --weight preset:morse --mod 11 --max-terms 40', 0, '', 'd48478ba111cbc84'),
     ('period --weight preset:ones --mod 5 --max-terms 300', 0, '', '27858d039a0c96a2'),

@@ -22,9 +22,7 @@ from wcatalan.orbits import (
     enumerate_orbits,
     epsilon_direct,
     epsilon_recursive,
-    is_complete_shape,
     minimal_orbits,
-    minimal_parity_sum,
     orbit_size,
     reduce_orbit,
 )
@@ -108,7 +106,7 @@ class TestOrbitSize:
 
     def test_complete_trees_are_the_singleton_orbits(self):
         for s in all_shapes(8):
-            assert (orbit_size(s) == 1) == is_complete_shape(s)
+            assert (orbit_size(s) == 1) == (s == complete_shape(s.depth))
 
     def test_ternary_sizes(self):
         # single child: 3 slots; two distinct children: 3!/(1!1!1!) = 6
@@ -620,6 +618,18 @@ class TestMultinomialDivisibility:
                     m1 = _multinomial(total, combo)
                     m2 = _multinomial(q, tuple(mult.values()))
                     assert (m1 * m2) % q == 0, (q, combo)
+
+
+def minimal_parity_sum(n: int, b: WeightFunction) -> int:
+    """Parity of the sum of e^O_0 over all minimal orbits on n vertices.
+
+    Equals 1 whenever b satisfies the relaxed valuation-theorem hypotheses
+    (odd b(0), 4 | diff b, 2^n | diff^n b for n >= 2).
+    """
+    total = 0
+    for shape in minimal_orbits(n):
+        total += epsilon_direct(shape, b, 0).bits[0]
+    return total % 2
 
 
 class TestMinimalParitySum:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wcatalan.arith import series_divide, series_divide_exact
+from wcatalan.arith import series_divide_exact
 from wcatalan.catalan import weighted_catalan_series
 from wcatalan.errors import DomainError
 from wcatalan.periodicity import (
@@ -203,14 +203,13 @@ class TestRecurrenceFromQ:
         for m in (7, 11):
             k = truncation_index(MORSE, m, 50)
             pair = continued_fraction_pq(MORSE, k)
-            series = series_divide(pair.P.coefficients, pair.Q.coefficients, m, 201)
-            dp = weighted_catalan_series(MORSE, 200, modulus=m)
-            assert list(series.coefficients) == dp
+            series = [c % m for c in series_divide_exact(pair.P, pair.Q, 201)]
+            assert series == weighted_catalan_series(MORSE, 200, modulus=m)
 
     def test_documented_mod7_series_prefix(self):
-        series = series_divide((1, 1), (1, 0, 4), 7, 6)
-        assert series.coefficients == (1, 1, 3, 3, 2, 2)
-        assert list(series.coefficients) == weighted_catalan_series(MORSE, 5, modulus=7)
+        series = [c % 7 for c in series_divide_exact((1, 1), (1, 0, 4), 6)]
+        assert series == [1, 1, 3, 3, 2, 2]
+        assert series == weighted_catalan_series(MORSE, 5, modulus=7)
 
 
 class TestPurePeriodicity:
