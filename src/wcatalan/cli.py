@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain
 
 from . import catalan, morse, orbits, periodicity
 from .errors import DomainError, ResourceLimitError, WeightSpecError
@@ -42,6 +43,82 @@ def _parse_range(text: str) -> range:
     return range(a, b + 1)
 
 
+# CPython's C encoder, which json.dump leaves unused once `indent` is set.
+# With ensure_ascii on, no encoded token holds a raw newline, so every "\n"
+# in its output is this item separator and can be re-indented by replace.
+_ENCODER = json.JSONEncoder(separators=(",\n", ": "))
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+# Rows per C call.  The C encoder keeps every token as its own str until
+# it joins them, about 650 bytes per orbits row, so a batch peaks near 170 kB.
+_ROW_BATCH = 256
+
+
+def _encode_key(key) -> str:
+    """A dict key spelled as json spells it: floats, bools, None, ints as JSON."""
+    if not isinstance(key, str):
+        if not (isinstance(key, (int, float)) or key is None):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+            )
+        key = _ENCODER.encode(key)
+    return _ENCODER.encode(key)
+
+
+def _write_rows(rows, write, indent: str) -> None:
+    """A non-empty list of non-empty flat dicts, in batches of C-encoded rows."""
+    row, field = indent + "  ", indent + "    "
+    boundary = "},\n" + field + "{"
+    split = "\n" + row + "},\n" + row + "{\n" + field
+    write("[\n" + row)
+    for start in range(0, len(rows), _ROW_BATCH):
+        if start:
+            write(",\n" + row)
+        text = _ENCODER.encode(rows[start : start + _ROW_BATCH])
+        text = text[2:-2].replace("\n", "\n" + field).replace(boundary, split)
+        write("{\n" + field + text + "\n" + row + "}")
+    write("\n" + indent + "]")
+
+
+def _write_json(obj, write, indent: str = "") -> None:
+    """Write `obj` through `write` as the bytes of json.dump(obj, out, indent=2).
+
+    Flat runs go through the C encoder and are re-indented: a non-empty
+    list of scalars in one call, a non-empty list of non-empty dicts with
+    scalar values (the rows of orbits, valuation and check) in batches.
+    Everything else is walked here one level at a time, so the document
+    is never held as one string.
+    """
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        kinds = set(map(type, obj))
+        if kinds <= _SCALARS:
+            text = _ENCODER.encode(obj)[1:-1].replace("\n", "\n" + inner)
+            write("[\n" + inner + text + "\n" + indent + "]")
+            return
+        if (
+            kinds == {dict}
+            and all(obj)
+            and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _SCALARS
+        ):
+            _write_rows(obj, write, indent)
+            return
+        sep = "[\n" + inner
+        for item in obj:
+            write(sep)
+            _write_json(item, write, inner)
+            sep = ",\n" + inner
+        write("\n" + indent + "]")
+    elif isinstance(obj, dict) and obj:
+        sep = "{\n" + inner
+        for key, value in obj.items():
+            write(sep + _encode_key(key) + ": ")
+            _write_json(value, write, inner)
+            sep = ",\n" + inner
+        write("\n" + indent + "}")
+    else:
+        write(_ENCODER.encode(obj))
+
+
 def _emit(command: str, parameters: dict, result, started: float) -> None:
     envelope = {
         "command": command,
@@ -49,7 +126,7 @@ def _emit(command: str, parameters: dict, result, started: float) -> None:
         "result": result,
         "elapsed_ms": round((time.perf_counter() - started) * 1000, 3),
     }
-    json.dump(envelope, sys.stdout, indent=2)
+    _write_json(envelope, sys.stdout.write)
     sys.stdout.write("\n")
 
 
@@ -150,6 +227,8 @@ def _cmd_epsilon(args, started) -> int:
     shape = orbits.OrbitShape.from_parens(args.shape, args.q)
     need = args.m + max(shape.depth, shape.vertex_count) + 1
     eps_b = epsilon_of_weight(b, need, base=args.q)
+    if args.m < 0:  # the coin loop below would run zero times and print []
+        raise DomainError("max order must be nonnegative")
     params = {
         "weight": args.weight,
         "shape": args.shape,

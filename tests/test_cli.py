@@ -173,6 +173,15 @@ class TestEpsilon:
             assert (code, out) == (4, "")
             assert err == f"error: carry oracles capped at order {cap} (requested {m})\n"
 
+    @pytest.mark.parametrize("method", ["direct", "recursive", "coin", "all"])
+    def test_negative_order_is_domain_error(self, capsys, method):
+        # `coin` used to exit 0 with "coin": []
+        code, out, err = run_cli(
+            capsys, "epsilon", "--weight", "preset:morse", "--shape", "(())",
+            "--m", "-1", "--method", method,
+        )
+        assert (code, out, err) == (3, "", "error: max order must be nonnegative\n")
+
 
 class TestValuation:
     def test_csv(self, capsys):

@@ -1,0 +1,83 @@
+"""The envelope writer: json.dumps(obj, indent=2) bytes, streamed."""
+
+import io
+import json
+import time
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wcatalan import cli
+
+# characters that a re-indent by str.replace could confuse with structure
+TEXT = st.text(st.sampled_from(['\n', '"', "\\", "}", ",", "{", "[", "]", " ", "a", "é", "☃"]))
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.floats()  # includes inf, -inf and nan
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | TEXT
+    | st.just("},\n{")
+)
+KEYS = TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+# flat rows whose key sets differ, some holding a one-item list
+ROWS = st.lists(
+    st.dictionaries(KEYS, SCALARS | st.lists(SCALARS, max_size=1), min_size=1), min_size=1
+)
+TREES = st.recursive(
+    SCALARS | ROWS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(KEYS, children, max_size=4),
+    max_leaves=30,
+)
+
+
+def written(obj) -> str:
+    out = io.StringIO()
+    cli._write_json(obj, out.write)
+    return out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(TREES)
+def test_writer_matches_indented_json_dumps(obj):
+    assert written(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj", [{(1,): 0}, [{"a": 1}, {(1,): 0}], [[1], {(1,): 0}], {"a": {1, 2}}]
+)
+def test_writer_refuses_what_json_refuses(obj):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError) as got:
+        written(obj)
+    assert str(got.value) == str(expected.value)
+
+
+def test_rows_across_batches_match_indented_json_dumps():
+    rows = [{"shape": "()" * i, "size": i} for i in range(2 * cli._ROW_BATCH + 1)]
+    assert written({"result": rows}) == json.dumps({"result": rows}, indent=2)
+
+
+def test_emit_streams_the_orbits_envelope(tmp_path, monkeypatch, capsys):
+    assert cli.main(["orbits", "--n", "14", "--max-orbit-n", "14"]) == 0
+    envelope = json.loads(capsys.readouterr().out)
+    path = tmp_path / "envelope.json"
+    with open(path, "w") as out:
+        monkeypatch.setattr("sys.stdout", out)
+        tracemalloc.start()
+        try:
+            cli._emit("orbits", envelope["parameters"], envelope["result"], time.perf_counter())
+            out.flush()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = path.stat().st_size
+    # a whole-document json.dumps would peak above the size of the document
+    assert peak < size
+    assert json.loads(path.read_text())["result"] == envelope["result"]

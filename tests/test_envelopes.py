@@ -9,11 +9,21 @@ formatting.
 
 A changed digest means an envelope changed.  To see the new output of a
 case, run it through `wcatalan.cli.main` and print `normalised_stdout`.
+
+To record cases, run this file with one quoted command per argument:
+
+    PYTHONPATH=src python tests/test_envelopes.py 'orbits --n 3' 'compute --n 3'
+
+It prints one ready-to-paste `CASES` tuple per command, made by the same
+`run` and `digest` the test checks with.
 """
 
 import hashlib
+import io
 import re
 import shlex
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -30,14 +40,19 @@ def digest(out: str) -> str:
     return hashlib.sha256(normalised_stdout(out).encode()).hexdigest()[:16]
 
 
-def run(capsys, command: str) -> tuple[int, str, str]:
-    try:
-        code = main(shlex.split(command))
-    except SystemExit as exc:  # argparse
-        captured = capsys.readouterr()
-        return exc.code, captured.out, captured.err.strip().splitlines()[-1]
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def run(command: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(shlex.split(command))
+        except SystemExit as exc:  # argparse
+            return exc.code, out.getvalue(), err.getvalue().strip().splitlines()[-1]
+    return code, out.getvalue(), err.getvalue()
+
+
+def case(command: str) -> tuple[str, int, str, str]:
+    code, out, err = run(command)
+    return command, code, err, digest(out)
 
 
 # (command, exit code, stderr, stdout digest)
@@ -58,8 +73,11 @@ CASES = [
     ('valuation --weight preset:morse --p 2 --expr cb --range 1..400', 0, '', 'a6afc6fa5d4e03a2'),
     ('valuation --weight preset:morse --p 5 --expr cb-c --range 1..40 --format csv', 0, '', 'a132146187c5e337'),
     ('valuation --weight preset:morse --p 4 --expr cb --range 1..4', 3, 'error: valuation profiles need a prime p, got 4\n', 'e3b0c44298fc1c14'),
+    ('valuation --weight poly:0 --p 2 --expr cb --range 1..5', 0, '', '7c08a66310203db3'),
     ('check --weight preset:morse --theorem main', 0, '', 'cbcf5c4a06520c43'),
     ('check --weight table:1,3,5,7,9,11 --theorem ps --window 0..5', 0, '', 'c6dd8693b6f4e21a'),
+    ('check --weight poly:1,1 --theorem main', 0, '', '417f1350ba5d65ff'),
+    ('orbits --n 0', 0, '', '2e5230d463c07131'),
     ('orbits --n 7 --reduce', 0, '', '300984dcc6767f7a'),
     ('orbits --n 9 --minimal', 0, '', '559234fb874b08d6'),
     ('orbits --n 46 --minimal --reduce', 0, '', 'ba81b338c775681f'),
@@ -69,6 +87,8 @@ CASES = [
     ('epsilon --weight preset:morse --shape (()()) --m 4', 0, '', '0f86db94f617c6ae'),
     ('epsilon --weight preset:morse --m 1 --shape ' + '(' * 33 + ')' * 33, 4, 'error: carry oracles capped at shape depth 32 (requested 33)\n', 'e3b0c44298fc1c14'),
     ('epsilon --weight preset:morse --shape (()) --m 33', 4, 'error: carry oracles capped at order 32 (requested 33)\n', 'e3b0c44298fc1c14'),
+    # `--method coin` exited 0 with "coin": [] until it shared the order check
+    ('epsilon --weight preset:morse --shape (()) --m -1 --method coin', 3, 'error: max order must be nonnegative\n', 'e3b0c44298fc1c14'),
     ('period --weight preset:morse --mod 7 --max-terms 500', 0, '', 'd9c1e11fbce8a52d'),
     ('period --weight preset:morse --mod 11 --max-terms 40', 0, '', 'd48478ba111cbc84'),
     ('period --weight preset:ones --mod 5 --max-terms 300', 0, '', '27858d039a0c96a2'),
@@ -82,12 +102,17 @@ CASES = [
     ('morse period', 2, 'error: morse period needs --mod M or --pow3 R\nweight grammar: preset:NAME | poly:c0,c1,... | table:v0,v1,...\n', 'e3b0c44298fc1c14'),
     ('morse profile --expr cb-1 --p 2 --range 1..60 --format csv', 0, '', '77f13c616b5e4cf1'),
     ('morse fit-alpha --which 2adic --n-max 256 --depth 4', 0, '', 'b4bff053a61e2775'),
+    ('morse fit-alpha --which 2adic --n-max 64 --depth 3', 0, '', '573a1ec75f64d0ce'),
     ('morse report --which 5adic --n-max 200 --depth 3', 0, '', 'aad88c0d98ce040c'),
     ('morse report --which 3adic --n-max 100 --depth 2', 0, '', '435bc9f508197cb7'),
 ]
 
 
 @pytest.mark.parametrize("command, code, err, out", CASES, ids=[c[0] for c in CASES])
-def test_envelope_is_unchanged(capsys, command, code, err, out):
-    got_code, got_out, got_err = run(capsys, command)
-    assert (got_code, got_err, digest(got_out)) == (code, err, out)
+def test_envelope_is_unchanged(command, code, err, out):
+    assert case(command) == (command, code, err, out)
+
+
+if __name__ == "__main__":
+    for command in sys.argv[1:]:
+        print(f"    {case(command)!r},")
