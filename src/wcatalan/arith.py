@@ -165,15 +165,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def coefficients_mod(self, modulus: int) -> tuple[int, ...]:
-        """Coefficients reduced into [0, modulus), trailing zeros dropped."""
-        if modulus < 2:
-            raise DomainError(f"modulus must be at least 2, got {modulus}")
-        out = [c % modulus for c in self.coefficients]
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
-
 
 def _coeff_list(poly) -> list[int]:
     if isinstance(poly, IntPolynomial):

@@ -214,10 +214,10 @@ def _parens_depth(text: str) -> int:
 def _cmd_epsilon(args, started) -> int:
     b = parse_weight_spec(args.weight)
     depth = _parens_depth(args.shape)
-    if depth > orbits.EPSILON_DEPTH_CAP:
+    depth_cap = orbits.epsilon_depth_cap(args.q)
+    if depth > depth_cap:
         raise ResourceLimitError(
-            f"carry oracles capped at shape depth {orbits.EPSILON_DEPTH_CAP}"
-            f" (requested {depth})"
+            f"carry oracles capped at shape depth {depth_cap} (requested {depth})"
         )
     if args.m > orbits.EPSILON_ORDER_CAP:
         raise ResourceLimitError(
@@ -271,20 +271,14 @@ def _cmd_period(args, started) -> int:
 
 def _cmd_pq(args, started) -> int:
     b = parse_weight_spec(args.weight)
-    pair = periodicity.continued_fraction_pq(b, args.truncate)
-    if args.mod is None:
-        result = {
-            "P": list(pair.P.coefficients),
-            "Q": list(pair.Q.coefficients),
-            "truncation": pair.truncation,
-        }
-    else:
-        result = {
-            "P": list(pair.P.coefficients_mod(args.mod)),
-            "Q": list(pair.Q.coefficients_mod(args.mod)),
-            "truncation": pair.truncation,
-            "mod": args.mod,
-        }
+    pair = periodicity.continued_fraction_pq(b, args.truncate, args.mod)
+    result = {
+        "P": list(pair.P.coefficients),
+        "Q": list(pair.Q.coefficients),
+        "truncation": pair.truncation,
+    }
+    if args.mod is not None:
+        result["mod"] = args.mod
     params = {"weight": args.weight, "truncate": args.truncate, "mod": args.mod}
     _emit("pq", params, result, started)
     return EXIT_OK

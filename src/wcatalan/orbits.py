@@ -35,23 +35,33 @@ __all__ = [
     "COIN_VERTEX_CAP",
     "COIN_ORDER_CAP",
     "EPSILON_DEPTH_CAP",
+    "epsilon_depth_cap",
     "EPSILON_ORDER_CAP",
 ]
 
 DEFAULT_ENUM_CAP = 16
 COIN_VERTEX_CAP = 6
 COIN_ORDER_CAP = 4
-# Deepest shape string the `epsilon` command hands to the carry oracles; the
-# CLI checks it before parsing.  Measured at order m = 3
-# (2-core x86-64, Python 3.11): a binary path or caterpillar of depth 32
-# takes at most 0.6 s on every method, depth 64 up to 5 s; the ternary
-# recursive oracle takes 1.6-2.6 s at depth 32 and 9-15 s at depth 48.
+# Deepest binary shape the carry oracles take; see `epsilon_depth_cap`.
 EPSILON_DEPTH_CAP = 32
 # Largest order m the `epsilon` command hands to the carry oracles, checked
 # next to the depth cap.  The recursive oracle, which `--method all` runs,
 # takes 0.2 s at m = 32, 0.6 s at m = 64 and 3.3 s at m = 128 on (()(())),
-# and 1.3 s at m = 32 and 5.7 s at m = 64 on a path of depth 32 (same machine).
+# and 1.3 s at m = 32 and 5.7 s at m = 64 on a path of depth 32 (2-core
+# x86-64, Python 3.11).
 EPSILON_ORDER_CAP = 32
+
+
+def epsilon_depth_cap(q: int) -> int:
+    """Deepest shape the `epsilon` command hands to the carry oracles at branching q.
+
+    The largest d with d^2 q^3 <= 32^2 * 2^3: 32 at q <= 2, 17 at q = 3,
+    11 at q = 4, 0 past q = 20.  At order 3 (2-core x86-64, Python 3.11) a
+    binary shape of depth 32 takes at most 0.6 s on every method and depth
+    64 up to 5 s; at its cap every q = 3..20 takes at most 0.19 s, where
+    depth 32 took 2.4 s at q = 3 and 17.5 s at q = 4.
+    """
+    return math.isqrt(EPSILON_DEPTH_CAP**2 * 8 // max(q, 2) ** 3)
 
 
 # A key's repr is its parentheses encoding with ", " between children and a

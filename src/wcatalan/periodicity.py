@@ -4,9 +4,9 @@ The truncated continued fraction for the generating function is a rational
 function P/Q whose coefficients are signed sums over sparse index chains;
 once the prefix product b(0)...b(k) vanishes mod m the residue sequence
 satisfies the linear recurrence read off Q, hence is eventually periodic.
-This module computes P/Q exactly, finds truncation indices, detects cycles
-in residue streams, and certifies pure periodicity when the degree and
-coprimality conditions hold.
+This module computes P/Q exactly or mod m, finds truncation indices,
+detects cycles in residue streams, and certifies pure periodicity when the
+degree and coprimality conditions hold.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add
 
 from . import catalan
 from .arith import IntPolynomial
@@ -48,39 +49,43 @@ class PQPair:
     truncation: int
 
 
-def _gap_chain_sums(bv: list[int], lo: int, hi: int) -> list[int]:
-    """coefficient k = sum of b(i_1)...b(i_k) over lo <= i_1 < ... <= hi with gaps >= 2."""
-    skip = [1]   # chains inside (j+1 .. hi)
-    skip2 = [1]  # chains inside (j+2 .. hi)
-    for j in range(hi, lo - 1, -1):
-        cur = [0] * max(len(skip), len(skip2) + 1)
-        for k, c in enumerate(skip):
-            cur[k] += c
-        for k, c in enumerate(skip2):
-            cur[k + 1] += bv[j] * c
-        while len(cur) > 1 and cur[-1] == 0:
-            cur.pop()
-        skip2 = skip
-        skip = cur
-    return skip
+def _gap_chain_sums(bv: list[int], modulus: int | None) -> tuple[list[int], list[int]]:
+    """Signed chain sums over indices 1..n and 0..n, n = len(bv) - 1, in one pass.
+
+    Coefficient k is (-1)^k times the sum of b(i_1)...b(i_k) over chains
+    i_1 < ... < i_k with gaps >= 2.  Going down from j = n, the chains inside
+    j..n are those inside j+1..n plus b(j) times those inside j+2..n, so the
+    state after j = 1 holds P's sums and the final state Q's.  With a modulus
+    each product is reduced and the sums stay below len(bv) * modulus.
+    """
+    skip = skip2 = [1]  # chains inside j+1..n and j+2..n, trailing zeros kept
+    for j in range(len(bv) - 1, -1, -1):
+        if j == 0:
+            p_sums = skip
+        nb = -bv[j] if modulus is None else -bv[j] % modulus
+        shifted = [nb * c for c in skip2] if modulus is None else [nb * c % modulus for c in skip2]
+        # len(skip) is len(skip2) or len(skip2) + 1, so only `shifted` has a tail
+        skip, skip2 = [1, *map(add, skip[1:], shifted), *shifted[len(skip) - 1 :]], skip
+    return p_sums, skip
 
 
-def continued_fraction_pq(b: WeightFunction, n: int) -> PQPair:
-    """Exact P/Q with deepest level b(n).
+def continued_fraction_pq(b: WeightFunction, n: int, modulus: int | None = None) -> PQPair:
+    """P/Q with deepest level b(n): exact, or residues in [0, modulus).
 
     P has coefficient (-1)^k * (chain sums over indices 1..n) at x^k and Q
     the same over indices 0..n; the chains are strictly increasing with
     consecutive gaps >= 2.  P/Q expands to the generating function of
-    weighted paths of height at most n+1.
+    weighted paths of height at most n+1.  No exact sum is built mod m.
     """
     if n < 0:
         raise DomainError("truncation depth must be nonnegative")
     bv = b.values(0, n + 1)
-    p_sums = _gap_chain_sums(bv, 1, n) if n >= 1 else [1]
-    q_sums = _gap_chain_sums(bv, 0, n)
-    P = IntPolynomial(tuple(c if k % 2 == 0 else -c for k, c in enumerate(p_sums)))
-    Q = IntPolynomial(tuple(c if k % 2 == 0 else -c for k, c in enumerate(q_sums)))
-    return PQPair(P, Q, n)
+    if modulus is not None and modulus < 2:
+        raise DomainError(f"modulus must be at least 2, got {modulus}")
+    p_sums, q_sums = _gap_chain_sums(bv, modulus)
+    if modulus is not None:
+        p_sums, q_sums = [c % modulus for c in p_sums], [c % modulus for c in q_sums]
+    return PQPair(IntPolynomial(tuple(p_sums)), IntPolynomial(tuple(q_sums)), n)
 
 
 def truncation_index(b: WeightFunction, modulus: int, bound: int) -> int | None:

@@ -135,8 +135,9 @@ def test_criterion_7_continued_fraction_correctness():
     pair = continued_fraction_pq(MORSE, 2)
     assert pair.P.coefficients == (1, -34)
     assert pair.Q.coefficients == (1, -35, 25)
-    assert pair.P.coefficients_mod(7) == (1, 1)
-    assert pair.Q.coefficients_mod(7) == (1, 0, 4)
+    pair = continued_fraction_pq(MORSE, 2, modulus=7)
+    assert pair.P.coefficients == (1, 1)
+    assert pair.Q.coefficients == (1, 0, 4)
     _report(7, "P/Q = height-capped path series on 50 random weights; morse pair exact")
 
 

@@ -107,10 +107,6 @@ class TestIntPolynomial:
         p = IntPolynomial((1, -35, 25))
         assert p(0) == 1 and p(2) == 1 - 70 + 100
 
-    def test_coefficients_mod(self):
-        p = IntPolynomial((1, -83, 441))
-        assert p.coefficients_mod(7) == (1, 1)
-
 
 class TestSeriesDivide:
     def test_documented_example(self):

@@ -155,6 +155,28 @@ class TestEpsilon:
                 f"error: carry oracles capped at shape depth {cap} (requested {depth})\n"
             )
 
+    @pytest.mark.parametrize("q, weight, cap", [(3, "poly:1,0,9", 17), (4, "poly:1,0,16", 11)])
+    def test_depth_cap_depends_on_q(self, capsys, q, weight, cap):
+        assert orbits.epsilon_depth_cap(q) == cap
+        at_cap = "(" * cap + ")" * cap
+        env = run_json(
+            capsys, "epsilon", "--q", str(q), "--weight", weight, "--shape", at_cap,
+            "--m", "3", "--method", "all",
+        )
+        assert env["result"]["agree"] is True
+        assert env["result"]["direct"] == env["result"]["recursive"]
+        # at depth 32, the binary cap, q = 3 took 2.4 s and q = 4 took 17.5 s
+        for depth in (cap + 1, orbits.EPSILON_DEPTH_CAP):
+            deep = "(" * depth + ")" * depth
+            code, out, err = run_cli(
+                capsys, "epsilon", "--q", str(q), "--weight", weight, "--shape", deep,
+                "--m", "3", "--method", "recursive",
+            )
+            assert (code, out) == (4, "")
+            assert err == (
+                f"error: carry oracles capped at shape depth {cap} (requested {depth})\n"
+            )
+
     @pytest.mark.parametrize("method", ["direct", "recursive", "coin", "all"])
     def test_order_cap(self, capsys, method):
         cap = orbits.EPSILON_ORDER_CAP

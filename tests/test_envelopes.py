@@ -86,6 +86,11 @@ CASES = [
     ('orbits --n 12 --max-orbit-n 5', 4, 'error: orbit enumeration capped at 5 vertices (requested 12); raise the cap explicitly to go further\n', 'e3b0c44298fc1c14'),
     ('epsilon --weight preset:morse --shape (()()) --m 4', 0, '', '0f86db94f617c6ae'),
     ('epsilon --weight preset:morse --m 1 --shape ' + '(' * 33 + ')' * 33, 4, 'error: carry oracles capped at shape depth 32 (requested 33)\n', 'e3b0c44298fc1c14'),
+    # the depth cap depends on q: 17 at q = 3 and 11 at q = 4; the two
+    # refused shapes ran with exit 0 while the cap was 32 for every q
+    ('epsilon --q 3 --weight poly:1,0,9 --m 3 --shape ' + '(' * 18 + ')' * 18, 4, 'error: carry oracles capped at shape depth 17 (requested 18)\n', 'e3b0c44298fc1c14'),
+    ('epsilon --q 4 --weight poly:1,0,16 --m 3 --shape ' + '(' * 12 + ')' * 12, 4, 'error: carry oracles capped at shape depth 11 (requested 12)\n', 'e3b0c44298fc1c14'),
+    ('epsilon --q 4 --weight poly:1,0,16 --m 3 --shape ' + '(' * 11 + ')' * 11, 0, '', '9899d42a45798c0f'),
     ('epsilon --weight preset:morse --shape (()) --m 33', 4, 'error: carry oracles capped at order 32 (requested 33)\n', 'e3b0c44298fc1c14'),
     # `--method coin` exited 0 with "coin": [] until it shared the order check
     ('epsilon --weight preset:morse --shape (()) --m -1 --method coin', 3, 'error: max order must be nonnegative\n', 'e3b0c44298fc1c14'),
@@ -96,6 +101,15 @@ CASES = [
     ('period --weight table:1,3 --mod 1 --max-terms 10', 3, 'error: modulus must be at least 2, got 1\n', 'e3b0c44298fc1c14'),
     ('pq --weight preset:morse --truncate 12 --mod 1000', 0, '', '620eb83028efefca'),
     ('pq --weight poly:1,1 --truncate 6', 0, '', 'b60d26da9dfc35d5'),
+    # residues trim to [1] and [1, 2]
+    ('pq --weight poly:2,0,2 --truncate 12 --mod 4', 0, '', 'e1531159cc661b8d'),
+    # negative weight, zeros inside P and Q
+    ('pq --weight poly:1,-1 --truncate 9 --mod 2', 0, '', '551a73ae1edc9e11'),
+    ('pq --weight poly:0 --truncate 5 --mod 7', 0, '', '7eebf414715592c9'),
+    ('pq --weight preset:morse --truncate 300', 0, '', '1fbe887aaf8b3586'),
+    # the depth is checked before the modulus
+    ('pq --weight preset:morse --truncate -1 --mod 1', 3, 'error: truncation depth must be nonnegative\n', 'e3b0c44298fc1c14'),
+    ('pq --weight preset:morse --truncate 3 --mod 1', 3, 'error: modulus must be at least 2, got 1\n', 'e3b0c44298fc1c14'),
     ('morse period --mod 7 --max-terms 200', 0, '', '006ec8dc27bb37c4'),
     ('morse period --pow3 3 --max-terms 300', 0, '', 'a7d7b9e0cbbaef39'),
     ('morse period --pow3 4 --max-terms 0', 3, 'error: need at least one term\n', 'e3b0c44298fc1c14'),

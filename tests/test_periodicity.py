@@ -1,7 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcatalan.arith import series_divide_exact
 from wcatalan.catalan import weighted_catalan_series
@@ -40,6 +43,34 @@ def brute_gap_chain_sums(bv, lo, hi):
     return out
 
 
+def two_pass_gap_chain_sums(bv, lo, hi):
+    """Oracle: the former two-pass recursion, run once per index range."""
+    skip = [1]
+    skip2 = [1]
+    for j in range(hi, lo - 1, -1):
+        cur = [0] * max(len(skip), len(skip2) + 1)
+        for k, c in enumerate(skip):
+            cur[k] += c
+        for k, c in enumerate(skip2):
+            cur[k + 1] += bv[j] * c
+        while len(cur) > 1 and cur[-1] == 0:
+            cur.pop()
+        skip2 = skip
+        skip = cur
+    return skip
+
+
+def trimmed(coeffs):
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def signed_trimmed(sums):
+    return trimmed(c if k % 2 == 0 else -c for k, c in enumerate(sums))
+
+
 class TestTruncationIndex:
     def test_examples(self):
         assert truncation_index(MORSE, 7, 10) == 3
@@ -74,9 +105,15 @@ class TestContinuedFractionPQ:
         assert pair.Q.coefficients == (1, -35, 25)
 
     def test_morse_depth_three_mod_seven(self):
-        pair = continued_fraction_pq(MORSE, 3)
-        assert pair.P.coefficients_mod(7) == (1, 1)
-        assert pair.Q.coefficients_mod(7) == (1, 0, 4)
+        pair = continued_fraction_pq(MORSE, 3, 7)
+        assert pair.P.coefficients == (1, 1)
+        assert pair.Q.coefficients == (1, 0, 4)
+
+    def test_residues_drop_trailing_zeros(self):
+        # P = 1 - (9 + 25 + 49) x + 9 * 49 x^2 = (1, -83, 441), and 441 = 63 * 7
+        b = WeightFunction.from_table([1, 9, 25, 49])
+        assert continued_fraction_pq(b, 3).P.coefficients == (1, -83, 441)
+        assert continued_fraction_pq(b, 3, 7).P.coefficients == (1, 1)
 
     def test_against_chain_enumeration(self):
         rng = random.Random(5)
@@ -125,6 +162,83 @@ class TestContinuedFractionPQ:
             pair = continued_fraction_pq(b, 9)
             series = series_divide_exact(pair.P, pair.Q, 10)
             assert series == weighted_catalan_series(b, 9)
+
+
+@st.composite
+def weights_and_depth(draw):
+    """A polynomial or table weight (zeros and negatives allowed) and a depth 0..120."""
+    n = draw(st.integers(0, 120))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+        b = WeightFunction.polynomial(coeffs)
+    else:
+        table = draw(st.lists(st.integers(-6, 6), min_size=n + 1, max_size=n + 1))
+        b = WeightFunction.from_table(table)
+    return b, n
+
+
+def _moduli(exact_q):
+    """Moduli 2..2^200: arbitrary, powers of 2, and divisors of Q's top coefficient."""
+    top = abs(exact_q.leading)
+    divisors = [d for d in range(2, 50) if top % d == 0]
+    options = [st.integers(2, 2**200), st.builds(lambda e: 2**e, st.integers(1, 200))]
+    if divisors:
+        options.append(st.sampled_from(divisors))
+    return st.one_of(*options)
+
+
+class TestOnePassPQ:
+    @given(wn=weights_and_depth(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_residues_are_the_reduced_exact_pair(self, wn, data):
+        b, n = wn
+        exact = continued_fraction_pq(b, n)
+        m = data.draw(_moduli(exact.Q), label="modulus")
+        pair = continued_fraction_pq(b, n, m)
+        assert pair.P.coefficients == trimmed(c % m for c in exact.P.coefficients)
+        assert pair.Q.coefficients == trimmed(c % m for c in exact.Q.coefficients)
+        assert pair.truncation == n
+
+    @given(wn=weights_and_depth())
+    @settings(max_examples=100, deadline=None)
+    def test_exact_pair_matches_the_two_pass_sums(self, wn):
+        b, n = wn
+        bv = b.values(0, n + 1)
+        pair = continued_fraction_pq(b, n)
+        p_sums = two_pass_gap_chain_sums(bv, 1, n) if n >= 1 else [1]
+        assert pair.P.coefficients == signed_trimmed(p_sums)
+        assert pair.Q.coefficients == signed_trimmed(two_pass_gap_chain_sums(bv, 0, n))
+        if n <= 8:
+            p_sums = brute_gap_chain_sums(bv, 1, n) if n >= 1 else [1]
+            assert pair.P.coefficients == signed_trimmed(p_sums)
+            assert pair.Q.coefficients == signed_trimmed(brute_gap_chain_sums(bv, 0, n))
+
+    def test_moduli_dividing_the_top_coefficient_shrink_q(self):
+        # Q = 1 - 35x + 25x^2 at depth 2; mod 5 and mod 25 the top term vanishes
+        assert continued_fraction_pq(MORSE, 2, 5).Q.coefficients == (1,)
+        assert continued_fraction_pq(MORSE, 2, 25).Q.coefficients == (1, 15)
+        assert continued_fraction_pq(MORSE, 2, 2**200).Q.coefficients == (1, 2**200 - 35, 25)
+
+    def test_depth_error_comes_before_the_modulus_error(self):
+        with pytest.raises(DomainError, match="truncation depth must be nonnegative"):
+            continued_fraction_pq(MORSE, -1, 1)
+
+    @pytest.mark.parametrize("m", [1, 0, -5])
+    def test_bad_modulus(self, m):
+        with pytest.raises(DomainError, match=f"modulus must be at least 2, got {m}"):
+            continued_fraction_pq(MORSE, 3, m)
+
+    def test_residue_path_never_builds_exact_coefficients(self):
+        # at depth 2000 the exact chain lists hold about 1000 coefficients of
+        # up to 22k bits, 6.5 MB at peak, which reducing only at the end
+        # would also reach; residues mod 7 peak near 0.2 MB
+        tracemalloc.start()
+        try:
+            continued_fraction_pq(MORSE, 2000, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestDetectPeriod:
@@ -190,7 +304,7 @@ class TestRecurrenceFromQ:
         for m in (7, 11, 27):
             k = truncation_index(MORSE, m, 50)
             pair = continued_fraction_pq(MORSE, k)
-            qc = pair.Q.coefficients_mod(m)
+            qc = continued_fraction_pq(MORSE, k, m).Q.coefficients
             res = weighted_catalan_series(MORSE, 200, height_cap=k, modulus=m)
             for n in range(pair.P.degree + 1, 201 - len(qc)):
                 acc = sum(qc[j] * res[n + j] for j in range(len(qc)))
