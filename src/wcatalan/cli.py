@@ -219,10 +219,10 @@ def _cmd_epsilon(args, started) -> int:
         raise ResourceLimitError(
             f"carry oracles capped at shape depth {depth_cap} (requested {depth})"
         )
-    if args.m > orbits.EPSILON_ORDER_CAP:
+    order_cap = orbits.epsilon_order_cap(args.q)
+    if args.m > order_cap:
         raise ResourceLimitError(
-            f"carry oracles capped at order {orbits.EPSILON_ORDER_CAP}"
-            f" (requested {args.m})"
+            f"carry oracles capped at order {order_cap} (requested {args.m})"
         )
     shape = orbits.OrbitShape.from_parens(args.shape, args.q)
     need = args.m + max(shape.depth, shape.vertex_count) + 1

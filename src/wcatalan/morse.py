@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import catalan, periodicity
+from . import catalan, periodicity, series
 from .arith import digit_sum, is_prime, valuation
 from .errors import DomainError
 from .weights import WeightFunction
@@ -38,7 +38,6 @@ EXPRESSIONS = ("cb", "cb-c", "cb-1")
 
 _EXACT_PROFILE_MAX = 320
 _SMALL_EXACT = 8
-_RESIDUE_BITS = 62
 _RESIDUE_BITS_MAX = 2048
 
 
@@ -54,27 +53,49 @@ def morse_number(n: int) -> int:
     return catalan.weighted_catalan(MORSE, n)
 
 
-def _expression_values(
-    weight: WeightFunction, expr: str, n_max: int, modulus: int | None = None
-) -> list[int]:
-    """The expression for n = 0..n_max: exact, or reduced mod `modulus`."""
-    lt = catalan.weighted_catalan_series(weight, n_max, modulus=modulus)
+def _subtrahend(expr: str, n_max: int) -> list[int] | None:
+    """What the expression subtracts from C_n^b for n = 0..n_max; None for cb."""
     if expr == "cb":
-        return lt
+        return None
     if expr == "cb-1":
-        diff = [v - 1 for v in lt]
-    elif expr == "cb-c":
-        diff = [v - c for v, c in zip(lt, catalan.catalan_series(n_max))]
-    else:
-        raise DomainError(f"unknown expression '{expr}'; expected one of {EXPRESSIONS}")
+        return [1] * (n_max + 1)
+    if expr == "cb-c":
+        return catalan.catalan_series(n_max)
+    raise DomainError(f"unknown expression '{expr}'; expected one of {EXPRESSIONS}")
+
+
+def _difference(values: list[int], minus: list[int] | None, modulus: int | None) -> list[int]:
+    """values - minus termwise, over as many terms as `values` has."""
+    if minus is None:
+        return values
+    diff = [v - c for v, c in zip(values, minus)]
     return diff if modulus is None else [v % modulus for v in diff]
 
 
-def _initial_exponent(p: int) -> int:
-    e = 1
-    while p ** (e + 1) < 1 << _RESIDUE_BITS:
-        e += 1
-    return e
+def _expression_values(weight: WeightFunction, expr: str, n_max: int) -> list[int]:
+    """The expression for n = 0..n_max, exactly."""
+    lt = catalan.weighted_catalan_series(weight, n_max)
+    return _difference(lt, _subtrahend(expr, n_max), None)
+
+
+def _first_exponent(p: int, n_max: int) -> int:
+    """Largest K whose residues mod p^K keep every product slot in one word.
+
+    At least 1: a p too wide for the word budget starts at p^1.
+    """
+    k = 1
+    while series.fits_word(p ** (k + 1), n_max + 1):
+        k += 1
+    return k
+
+
+def _last_exponent(p: int) -> int:
+    """Largest K with p^K <= 2^2048, the ladder's depth cap."""
+    k, power = 0, p
+    while power <= 1 << _RESIDUE_BITS_MAX:
+        k += 1
+        power *= p
+    return k
 
 
 def _certified_valuations(
@@ -82,31 +103,46 @@ def _certified_valuations(
 ) -> list[int | None]:
     """xi_p of the expression for n = 0..n_max; None marks an exact zero.
 
-    Small n are handled with exact integers.  Larger n use residues modulo
-    p^K: a nonzero residue pins the valuation exactly, and K doubles until
-    every residue in the window is nonzero.  Rows still zero at the depth
-    cap (exact zeros, or valuations beyond it) are resolved from exact
+    If b(0) = 0, every path of semilength n >= 1 starts with an up-step of
+    weight b(0), so C_n^b is 1 at n = 0 and 0 after, and the valuations
+    come from that closed form.  Otherwise small n are handled with exact
+    integers, and larger n with residues modulo p^K.  The first K is the
+    largest whose Kronecker slots fit one 64-bit word for this window; a
+    nonzero residue pins the valuation exactly, and K doubles, on a window
+    cut at the last row still zero, until every residue is nonzero.  The
+    last step stops at the depth cap, the largest p^K <= 2^2048, so a
+    narrow first rung does not lower the deepest rung.  Rows still zero
+    there (exact zeros, or valuations beyond it) are resolved from exact
     values.
     """
+    minus = _subtrahend(expr, n_max)
+    if n_max and weight.eval(0) == 0:
+        weight.values(0, n_max)  # a short table fails as the DP would
+        values = _difference([1] + [0] * n_max, minus, None)
+        return [None if v == 0 else valuation(p, v) for v in values]
     small = min(n_max, _SMALL_EXACT)
-    exact = _expression_values(weight, expr, small)
+    exact = _difference(catalan.weighted_catalan_series(weight, small), minus, None)
     vals: list[int | None] = [
         None if v == 0 else valuation(p, v) for v in exact
     ]
-    if n_max <= small:
-        return vals
-    rows = range(small + 1, n_max + 1)
-    exponent = _initial_exponent(p)
-    while True:
-        residues = _expression_values(weight, expr, n_max, p**exponent)
-        zero_rows = [n for n in rows if not residues[n]]
-        if not zero_rows or p ** (2 * exponent) > 1 << _RESIDUE_BITS_MAX:
+    pending = list(range(small + 1, n_max + 1))
+    vals.extend([None] * len(pending))
+    exponent = _first_exponent(p, n_max)
+    last = max(_last_exponent(p), exponent)
+    while pending:
+        modulus = p**exponent
+        lt = catalan.weighted_catalan_series(weight, pending[-1], modulus=modulus)
+        residues = _difference(lt, minus, modulus)
+        for n in pending:
+            if residues[n]:
+                vals[n] = valuation(p, residues[n])
+        pending = [n for n in pending if not residues[n]]
+        if exponent == last:
             break
-        exponent *= 2
-    vals.extend(valuation(p, residues[n]) if residues[n] else None for n in rows)
-    if zero_rows:
-        exact = _expression_values(weight, expr, zero_rows[-1])
-        for n in zero_rows:
+        exponent = min(2 * exponent, last)
+    if pending:
+        exact = _difference(catalan.weighted_catalan_series(weight, pending[-1]), minus, None)
+        for n in pending:
             vals[n] = valuation(p, exact[n]) if exact[n] else None
     return vals
 

@@ -37,6 +37,7 @@ __all__ = [
     "EPSILON_DEPTH_CAP",
     "epsilon_depth_cap",
     "EPSILON_ORDER_CAP",
+    "epsilon_order_cap",
 ]
 
 DEFAULT_ENUM_CAP = 16
@@ -44,11 +45,10 @@ COIN_VERTEX_CAP = 6
 COIN_ORDER_CAP = 4
 # Deepest binary shape the carry oracles take; see `epsilon_depth_cap`.
 EPSILON_DEPTH_CAP = 32
-# Largest order m the `epsilon` command hands to the carry oracles, checked
-# next to the depth cap.  The recursive oracle, which `--method all` runs,
-# takes 0.2 s at m = 32, 0.6 s at m = 64 and 3.3 s at m = 128 on (()(())),
-# and 1.3 s at m = 32 and 5.7 s at m = 64 on a path of depth 32 (2-core
-# x86-64, Python 3.11).
+# Largest binary order m the carry oracles take; see `epsilon_order_cap`.
+# The recursive oracle, which `--method all` runs, takes 0.2 s at m = 32,
+# 0.6 s at m = 64 and 3.3 s at m = 128 on (()(())), and 1.3 s at m = 32 and
+# 5.7 s at m = 64 on a path of depth 32 (2-core x86-64, Python 3.11).
 EPSILON_ORDER_CAP = 32
 
 
@@ -62,6 +62,20 @@ def epsilon_depth_cap(q: int) -> int:
     depth 32 took 2.4 s at q = 3 and 17.5 s at q = 4.
     """
     return math.isqrt(EPSILON_DEPTH_CAP**2 * 8 // max(q, 2) ** 3)
+
+
+def epsilon_order_cap(q: int) -> int:
+    """Largest order m the `epsilon` command hands to the carry oracles at branching q.
+
+    The largest m with m^2 q^3 <= 32^2 * 2^3, the depth cap's bound: 32 at
+    q <= 2, 17 at q = 3, 11 at q = 4, 0 past q = 20.  The recursive oracle
+    sums over the compositions of every order into q + 1 parts, so its cost
+    grows with m about like m^(q+1).  At the depth and order caps the worst
+    measured shape of every q = 3..20 takes no longer than the binary
+    depth-32 caterpillar at m = 32 (2.1-2.4 s on 2-core x86-64, Python 3.11);
+    uncapped, a q = 3 caterpillar of depth 17 took 9.4 s at m = 32.
+    """
+    return math.isqrt(EPSILON_ORDER_CAP**2 * 8 // max(q, 2) ** 3)
 
 
 # A key's repr is its parentheses encoding with ", " between children and a

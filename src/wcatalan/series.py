@@ -4,7 +4,11 @@ Polynomials are lists of coefficients, lowest degree first, reduced into
 [0, m).  Products go through Kronecker substitution: each operand is packed
 into one Python int with a fixed-width slot per coefficient, wide enough
 that no slot of the product overflows, so a single big-int multiply (done
-in C) replaces the quadratic coefficient loop.
+in C) replaces the quadratic coefficient loop.  A slot of at most 8 bytes
+is rounded up to 1, 2, 4 or 8 bytes, so that packing and unpacking is one
+`array` conversion plus one pass of `% m`; wider slots are cut out of the
+byte string one coefficient at a time.  `fits_word` tells a caller whether
+a modulus keeps every slot of a product within one 64-bit word.
 
 The weighted Catalan generating function is the S-fraction (Flajolet 1980)
 
@@ -21,21 +25,45 @@ M(n), against O(n h) for the Dyck DP in `kernel`.
 
 from __future__ import annotations
 
-__all__ = ["mul_mod", "inverse_mod", "dyck_series_mod"]
+import sys
+from array import array
+
+__all__ = ["fits_word", "mul_mod", "inverse_mod", "dyck_series_mod"]
 
 # Blocks of at most this many S-fraction levels are multiplied out one level
 # at a time; above it, halves are combined by Kronecker products.
 _LEAF_LEVELS = 16
 
 
+# Bytes of the widest slot packed through `array`, and the unsigned typecode
+# of each slot width, chosen by item size since the letters vary by platform.
+_WORD_BYTES = 8
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _slot_bits(modulus: int, terms: int) -> int:
+    """Bits of a slot that holds a sum of two products of `terms`-term polynomials."""
+    return 2 * (modulus - 1).bit_length() + (2 * terms).bit_length()
+
+
+def fits_word(modulus: int, terms: int) -> bool:
+    """Whether every slot of a product of `terms`-term polynomials fits 64 bits."""
+    return _slot_bits(modulus, terms) <= 8 * _WORD_BYTES
+
+
 def _slot_bytes(modulus: int, terms: int) -> int:
-    """Bytes per slot that hold a sum of two products of `terms`-term polynomials."""
-    bits = 2 * (modulus - 1).bit_length() + (2 * terms).bit_length()
-    return (bits + 7) // 8
+    """Slot width in bytes: 1, 2, 4 or 8 while it fits one word, else exact."""
+    width = (_slot_bits(modulus, terms) + 7) // 8
+    return width if width > _WORD_BYTES else 1 << (width - 1).bit_length()
 
 
 def _pack(coeffs: list[int], width: int) -> int:
-    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
+    if width > _WORD_BYTES:
+        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
+    words = array(_TYPECODES[width], coeffs)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
 
 
 def _unpack(packed: int, width: int, count: int, modulus: int) -> list[int]:
@@ -43,8 +71,15 @@ def _unpack(packed: int, width: int, count: int, modulus: int) -> list[int]:
         return []
     total = max(count, (packed.bit_length() + 8 * width - 1) // (8 * width))
     data = packed.to_bytes(total * width, "little")
-    read = int.from_bytes
-    out = [read(data[i : i + width], "little") % modulus for i in range(0, count * width, width)]
+    if width > _WORD_BYTES:
+        read = int.from_bytes
+        out = [read(data[i : i + width], "little") % modulus for i in range(0, count * width, width)]
+    else:
+        words = array(_TYPECODES[width])
+        words.frombytes(memoryview(data)[: count * width])
+        if sys.byteorder == "big":
+            words.byteswap()
+        out = [c % modulus for c in words]
     while out and not out[-1]:
         out.pop()
     return out

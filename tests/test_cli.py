@@ -195,6 +195,25 @@ class TestEpsilon:
             assert (code, out) == (4, "")
             assert err == f"error: carry oracles capped at order {cap} (requested {m})\n"
 
+    @pytest.mark.parametrize("q, weight, cap", [(3, "poly:1,0,9", 17), (4, "poly:1,0,16", 11)])
+    def test_order_cap_depends_on_q(self, capsys, q, weight, cap):
+        assert orbits.epsilon_order_cap(q) == cap
+        assert orbits.epsilon_order_cap(2) == orbits.EPSILON_ORDER_CAP
+        env = run_json(
+            capsys, "epsilon", "--q", str(q), "--weight", weight, "--shape", "(()())",
+            "--m", str(cap), "--method", "all",
+        )
+        assert env["result"]["agree"] is True
+        assert len(env["result"]["direct"]) == cap + 1
+        # at m = 32, the binary cap, a q = 3 caterpillar of depth 17 took 9.4 s
+        for m in (cap + 1, orbits.EPSILON_ORDER_CAP):
+            code, out, err = run_cli(
+                capsys, "epsilon", "--q", str(q), "--weight", weight, "--shape", "()",
+                "--m", str(m), "--method", "recursive",
+            )
+            assert (code, out) == (4, "")
+            assert err == f"error: carry oracles capped at order {cap} (requested {m})\n"
+
     @pytest.mark.parametrize("method", ["direct", "recursive", "coin", "all"])
     def test_negative_order_is_domain_error(self, capsys, method):
         # `coin` used to exit 0 with "coin": []

@@ -74,6 +74,10 @@ CASES = [
     ('valuation --weight preset:morse --p 5 --expr cb-c --range 1..40 --format csv', 0, '', 'a132146187c5e337'),
     ('valuation --weight preset:morse --p 4 --expr cb --range 1..4', 3, 'error: valuation profiles need a prime p, got 4\n', 'e3b0c44298fc1c14'),
     ('valuation --weight poly:0 --p 2 --expr cb --range 1..5', 0, '', '7c08a66310203db3'),
+    # b(0) = 0 over residue-mode windows: the closed form, same envelopes
+    ('valuation --weight poly:0 --p 2 --range 1..400', 0, '', '019edb7439c9a352'),
+    ('valuation --weight poly:0,1 --p 3 --expr cb-c --range 1..500', 0, '', 'e9aa4d5cc3f53bc5'),
+    ('valuation --weight poly:0,1 --p 2 --expr cb-1 --range 1..400 --format csv', 0, '', '831154ec5754dff5'),
     ('check --weight preset:morse --theorem main', 0, '', 'cbcf5c4a06520c43'),
     ('check --weight table:1,3,5,7,9,11 --theorem ps --window 0..5', 0, '', 'c6dd8693b6f4e21a'),
     ('check --weight poly:1,1 --theorem main', 0, '', '417f1350ba5d65ff'),
@@ -92,6 +96,8 @@ CASES = [
     ('epsilon --q 4 --weight poly:1,0,16 --m 3 --shape ' + '(' * 12 + ')' * 12, 4, 'error: carry oracles capped at shape depth 11 (requested 12)\n', 'e3b0c44298fc1c14'),
     ('epsilon --q 4 --weight poly:1,0,16 --m 3 --shape ' + '(' * 11 + ')' * 11, 0, '', '9899d42a45798c0f'),
     ('epsilon --weight preset:morse --shape (()) --m 33', 4, 'error: carry oracles capped at order 32 (requested 33)\n', 'e3b0c44298fc1c14'),
+    # the order cap depends on q; this exited 0 while it was 32 for every q
+    ('epsilon --q 3 --weight poly:1,0,9 --shape (()) --m 18', 4, 'error: carry oracles capped at order 17 (requested 18)\n', 'e3b0c44298fc1c14'),
     # `--method coin` exited 0 with "coin": [] until it shared the order check
     ('epsilon --weight preset:morse --shape (()) --m -1 --method coin', 3, 'error: max order must be nonnegative\n', 'e3b0c44298fc1c14'),
     ('period --weight preset:morse --mod 7 --max-terms 500', 0, '', 'd9c1e11fbce8a52d'),

@@ -2,11 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wcatalan import kernel, series
 from wcatalan.arith import digit_sum, series_divide_exact, valuation
-from wcatalan.catalan import catalan_number, weighted_catalan_series
+from wcatalan.catalan import catalan_number, catalan_series, weighted_catalan_series
 from wcatalan.errors import DomainError
 from wcatalan.morse import (
     MORSE,
+    _certified_valuations,
+    _expression_values,
     _fit_violations,
     conjecture_report,
     fit_padic_alpha,
@@ -15,7 +18,7 @@ from wcatalan.morse import (
     morse_weight,
     valuation_profile,
 )
-from wcatalan.weights import check_conditions
+from wcatalan.weights import WeightFunction, check_conditions
 
 
 class TestMorseNumbers:
@@ -81,6 +84,104 @@ class TestValuationProfile:
     def test_prime_required(self):
         with pytest.raises(DomainError, match="prime"):
             valuation_profile("cb", 4, range(1, 5))
+
+
+def _exact_valuations(weight, expr, p, n_max):
+    return [None if v == 0 else valuation(p, v) for v in _expression_values(weight, expr, n_max)]
+
+
+class _FirstRung(Exception):
+    pass
+
+
+def _record_moduli(monkeypatch, stop_after_first=False):
+    """Record the (n_max, modulus) of every residue DP call."""
+    calls = []
+    real = kernel.dyck_dp_mod
+
+    def recording(bvals, n_max, modulus, height_cap=None):
+        calls.append((n_max, modulus))
+        if stop_after_first:
+            raise _FirstRung
+        return real(bvals, n_max, modulus, height_cap)
+
+    monkeypatch.setattr(kernel, "dyck_dp_mod", recording)
+    return calls
+
+
+class TestCertificationLadder:
+    @pytest.mark.parametrize("n_max", [321, 2048, 32768])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_first_rung_is_the_widest_word_modulus(self, monkeypatch, n_max, p):
+        calls = _record_moduli(monkeypatch, stop_after_first=True)
+        with pytest.raises(_FirstRung):
+            _certified_valuations(MORSE, "cb", p, n_max)
+        ((top, modulus),) = calls
+        assert top == n_max
+        # 2 bits(m - 1) + bits(2 (n_max + 1)) <= 64, and p m breaks it
+        assert series.fits_word(modulus, n_max + 1)
+        assert not series.fits_word(modulus * p, n_max + 1)
+        k = valuation(p, modulus)
+        assert modulus == p**k and k >= 1
+        if n_max == 2048:
+            assert modulus in (2**25, 3**15, 5**10)
+
+    def test_wide_prime_starts_at_its_first_power(self, monkeypatch):
+        calls = _record_moduli(monkeypatch, stop_after_first=True)
+        with pytest.raises(_FirstRung):
+            _certified_valuations(MORSE, "cb", 2**31 - 1, 2048)
+        assert calls == [(2048, 2**31 - 1)]
+
+    @pytest.mark.parametrize(
+        "weight, expr, p",
+        [
+            # b = 1 mod 2^30, so C_n^b - C_n vanishes mod the first rung, 2^27
+            (WeightFunction.polynomial([1, 2**30]), "cb-c", 2),
+            # 3 | b(x), so xi_3(C_n^b) >= n
+            (WeightFunction.polynomial([3, 6, 12]), "cb", 3),
+        ],
+    )
+    def test_ladder_climbs_to_exact_valuations(self, monkeypatch, weight, expr, p):
+        calls = _record_moduli(monkeypatch)
+        got = _certified_valuations(weight, expr, p, 400)
+        assert got == _exact_valuations(weight, expr, p, 400)
+        assert len(calls) >= 2
+        # each rung doubles K and stops at the last row the rung below left zero
+        tops = [top for top, _ in calls]
+        assert tops[0] == 400 and tops == sorted(tops, reverse=True)
+        for (_, lower), (top, upper) in zip(calls, calls[1:]):
+            assert upper == lower**2
+            assert got[top] >= valuation(p, lower)
+
+    def test_last_rung_stops_at_the_depth_cap(self, monkeypatch):
+        # b = 1 makes C^b - C identically zero: every rung, then exact values
+        calls = _record_moduli(monkeypatch)
+        got = _certified_valuations(WeightFunction.preset("ones"), "cb-c", 3, 60)
+        assert got == [None] * 61
+        moduli = [m for _, m in calls]
+        assert all(upper == lower**2 for lower, upper in zip(moduli, moduli[1:-1]))
+        # the largest power of 3 up to 2^2048, even though doubling skips it
+        assert moduli[-1] == 3**1292 <= 2**2048 < 3**1293
+        assert moduli[-2] < moduli[-1] < moduli[-2] ** 2
+
+    @pytest.mark.parametrize("expr", ["cb", "cb-c", "cb-1"])
+    @pytest.mark.parametrize("coeffs", [[0], [0, 1], [0, 3, -2]])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_zero_constant_weight_skips_the_ladder(self, monkeypatch, expr, coeffs, p):
+        # b(0) = 0 leaves only the empty path: C^b = 1, 0, 0, ...
+        calls = _record_moduli(monkeypatch)
+        got = _certified_valuations(WeightFunction.polynomial(coeffs), expr, p, 500)
+        assert calls == []
+        if expr == "cb":
+            assert got == [0] + [None] * 500
+        elif expr == "cb-1":
+            assert got == [None] + [0] * 500
+        else:
+            assert got == [None] + [valuation(p, c) for c in catalan_series(500)[1:]]
+
+    def test_zero_constant_table_still_needs_its_values(self):
+        with pytest.raises(DomainError, match=r"evaluate b\(3\)"):
+            _certified_valuations(WeightFunction.from_table([0, 1, 2]), "cb", 2, 400)
 
 
 class TestPadicFit:

@@ -164,3 +164,48 @@ def test_newton_inverse(m, data, order):
     assert len(g) == order
     product = _schoolbook(f, g, m)[:order]
     assert product + [0] * (order - len(product)) == ([1] + [0] * order)[:order]
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 9, 18])
+def test_pack_unpack_round_trip(width):
+    """Slots of 8 bytes or less go through `array`, wider ones through bytes."""
+    top = 1 << (8 * width)
+    coeffs = [0, 1, top - 1, top // 2, 5, top - 2, 7]
+    packed = series._pack(coeffs, width)
+    assert packed == sum(c << (8 * width * i) for i, c in enumerate(coeffs))
+    assert series._unpack(packed, width, len(coeffs), top) == coeffs
+    # fewer slots than the packed int holds, reduced, trailing zeros dropped
+    assert series._unpack(packed, width, 3, 2) == [0, 1, 1]
+    assert series._unpack(packed, width, 1, 3) == []
+
+
+def test_slot_widths_round_up_to_a_word_size():
+    # 2 * bits(m - 1) + bits(2 * terms) bits, in bytes
+    assert series._slot_bytes(2, 1) == 1  # 2 + 2 bits
+    assert series._slot_bytes(2**5, 2) == 2  # 10 + 3 bits
+    assert series._slot_bytes(2**9, 4) == 4  # 18 + 4 bits: 3 bytes rounded up
+    assert series._slot_bytes(2**16, 64) == 8  # 32 + 8 bits: 5 bytes rounded up
+    assert series._slot_bytes(2**26, 1024) == 8  # 52 + 12 = 64 bits
+    assert series._slot_bytes(2**26, 2048) == 9  # 65 bits: exact bytes
+    assert series._slot_bytes(2**61, 2048) == 17  # 122 + 13 bits
+
+
+# Moduli whose m - 1 has 26 bits: with 1024 terms a product slot takes
+# exactly 64 bits, with 2048 terms 65 bits.
+BOUNDARY_MODULI = [2**26, 3**16, 5**11]
+
+
+def test_engine_matches_dp_at_the_word_boundary():
+    weight = WeightFunction.preset("morse")
+    n = 2048
+    bvals = weight.values(0, n)
+    lcm = 2**26 * 3**16 * 5**11
+    reference = kernel._dyck_dp(bvals, n, lcm, n)
+    for m in BOUNDARY_MODULI:
+        assert (m - 1).bit_length() == 26
+        assert series.fits_word(m, 1024) and not series.fits_word(m, 2048)
+        for terms in (1024, 2048):
+            got = series.dyck_series_mod(bvals, terms - 1, m, terms - 1)
+            assert got == [v % m for v in reference[:terms]], (m, terms)
+    # the first certification rung for n_max = 2048 at p = 2 is narrower
+    assert series.dyck_series_mod(bvals, n, 2**24, n) == [v % 2**24 for v in reference]
