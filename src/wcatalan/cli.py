@@ -133,13 +133,14 @@ def _emit(command: str, parameters: dict, result, started: float) -> None:
 def _cmd_compute(args, started) -> int:
     b = parse_weight_spec(args.weight)
     params = {"weight": args.weight, "n": args.n, "q": args.q, "mod": args.mod}
+    # the library checks the modulus too, but after the semilength (and at
+    # q = 2 after the weights); this check keeps it the first error reported
     if args.mod is not None and args.mod < 2:
         raise DomainError(f"modulus must be at least 2, got {args.mod}")
     if args.q == 2:
         result = catalan.weighted_catalan(b, args.n, modulus=args.mod)
     else:
-        value = catalan.q_weighted_catalan(b, args.q, args.n)
-        result = value if args.mod is None else value % args.mod
+        result = catalan.q_weighted_catalan(b, args.q, args.n, args.mod)
     _emit("compute", params, result, started)
     return EXIT_OK
 

@@ -2,8 +2,9 @@
 
 `dyck_dp_exact` and `dyck_dp_mod` are the one contract: up-steps from
 height k are weighted bvals[k], and with a height cap only paths staying
-at or below the cap are counted.  Both check their arguments here, once,
-and raise `DomainError`; the engines behind them trust their input.
+at or below the cap are counted.  `dyck_value_exact` gives C_n^b alone.
+All three check their arguments here, once, and raise `DomainError`; the
+engines behind them trust their input.
 
 Residues mod m come from one of two pure-Python engines:
 
@@ -13,11 +14,14 @@ Residues mod m come from one of two pure-Python engines:
 2. otherwise the Dyck DP in this module, whose O(n h) cost wins for small
    heights and for moduli far above word size.
 
-Exact values always come from the Dyck DP, which is also the reference the
-tree is tested against.
+Exact values come from the Dyck DP, which is also the reference the tree
+is tested against: the whole 2n-step DP for a series, and its first n
+steps for one value (`dyck_value_exact`).
 """
 
 from __future__ import annotations
+
+from operator import add, mul
 
 from . import series
 from .errors import DomainError
@@ -70,6 +74,35 @@ def dyck_dp_mod(bvals, n_max: int, modulus: int, height_cap: int | None = None) 
 def dyck_dp_exact(bvals, n_max: int, height_cap: int | None = None) -> list[int]:
     """Exact weighted Catalan numbers for n = 0..n_max."""
     return _dyck_dp(bvals, n_max, None, _check_args(bvals, n_max, None, height_cap))
+
+
+def dyck_value_exact(bvals, n: int) -> int:
+    """Exact C_n^b alone, from the first n steps of the Dyck DP.
+
+    After n steps, U(j) is the weight of all paths from height 0 to j.  A
+    path from j down to 0 reversed is a path from 0 up to j whose up-steps
+    were its down-steps, so it weighs its reverse divided by b_0 ... b_(j-1),
+    one up-step from each level below j.  Splitting every Dyck path at its
+    midpoint gives C_n^b = sum_j U(j) * (U(j) // (b_0 ... b_(j-1))), with
+    exact divisions.  A zero weight b_z makes U(j) = 0 for every j > z.
+    """
+    _check_args(bvals, n, None, None)
+    b = list(bvals[:n])
+    even, odd = b[0::2], b[1::2]
+    # u[i] = U(2i + (s & 1)) after s steps; up-steps from u[i] land on
+    # u[i] of the next step at odd s + 1, and on u[i + 1] at even s + 1
+    u = [1]
+    for s in range(n):
+        up = list(map(mul, u, odd if s & 1 else even))
+        u = u[:1] * (s & 1) + list(map(add, up, u[1:])) + up[-1:]
+    total, below = 0, 1  # below = b_0 ... b_(j-1)
+    for j in range(n + 1):
+        if (j - n) & 1 == 0:
+            total += u[j >> 1] * (u[j >> 1] // below)
+        if j == n or not b[j]:
+            break
+        below *= b[j]
+    return total
 
 
 def _dyck_dp(bvals, n_max: int, modulus: int | None, height: int) -> list[int]:

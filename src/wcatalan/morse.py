@@ -105,15 +105,16 @@ def _certified_valuations(
 
     If b(0) = 0, every path of semilength n >= 1 starts with an up-step of
     weight b(0), so C_n^b is 1 at n = 0 and 0 after, and the valuations
-    come from that closed form.  Otherwise small n are handled with exact
-    integers, and larger n with residues modulo p^K.  The first K is the
-    largest whose Kronecker slots fit one 64-bit word for this window; a
-    nonzero residue pins the valuation exactly, and K doubles, on a window
-    cut at the last row still zero, until every residue is nonzero.  The
-    last step stops at the depth cap, the largest p^K <= 2^2048, so a
-    narrow first rung does not lower the deepest rung.  Rows still zero
-    there (exact zeros, or valuations beyond it) are resolved from exact
-    values.
+    come from that closed form.  For cb-c, the rows n whose weights
+    b(0..n-1) are all 1 are exact zeros, since C_n^b = C_n there.
+    Otherwise small n are handled with exact integers, and larger n with
+    residues modulo p^K.  The first K is the largest whose Kronecker slots
+    fit one 64-bit word for this window; a nonzero residue pins the
+    valuation exactly, and K doubles, on a window cut at the last row still
+    zero, until every residue is nonzero.  The last step stops at the depth
+    cap, the largest p^K <= 2^2048, so a narrow first rung does not lower
+    the deepest rung.  Rows still zero there (exact zeros, or valuations
+    beyond it) are resolved from exact values.
     """
     minus = _subtrahend(expr, n_max)
     if n_max and weight.eval(0) == 0:
@@ -127,6 +128,12 @@ def _certified_valuations(
     ]
     pending = list(range(small + 1, n_max + 1))
     vals.extend([None] * len(pending))
+    if expr == "cb-c":
+        # C_n^b depends on b(0..n-1) only: while those are all 1, C_n^b = C_n
+        ones = 0
+        while ones < n_max and weight.eval(ones) == 1:
+            ones += 1
+        pending = pending[max(ones - small, 0):]
     exponent = _first_exponent(p, n_max)
     last = max(_last_exponent(p), exponent)
     while pending:

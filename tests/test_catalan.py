@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wcatalan import catalan, kernel
 from wcatalan.catalan import (
     catalan_number,
     catalan_series,
@@ -182,6 +185,63 @@ class TestQAry:
             for n in range(5):
                 assert q_weighted_catalan(b, q, n) == brute_q_ary_total(b, q, n)
 
+    def test_residues_need_a_modulus_of_at_least_two(self):
+        with pytest.raises(DomainError, match="^modulus must be at least 2, got 1$"):
+            q_weighted_catalan(ONES, 3, 5, 1)
+        assert q_weighted_catalan(ONES, 3, 0, 2) == 1
+        assert q_weighted_catalan(ONES, 3, 0, 7) == 1
+
     def test_catalan_series(self):
         assert catalan_series(6) == [1, 1, 2, 5, 14, 42, 132]
         assert catalan_series(40)[40] == catalan_number(40)
+
+
+# Word moduli (the residue engine) and wider ones (exact, then reduced).
+WORD = 2**kernel._WORD_BITS
+Q_MODULI = st.one_of(
+    st.sampled_from([2, 3, 4, WORD - 1, WORD, WORD + 1]),
+    st.integers(2, WORD - 1),
+    st.integers(WORD, 2**130),
+)
+# Zero and negative weight values, inside and at the ends of the window.
+Q_WEIGHTS = st.one_of(
+    st.sampled_from([[0], [0, 1], [2, -1], [3, -5, 2], [-1]]),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+).map(WeightFunction.polynomial)
+
+
+def _record_convolve(monkeypatch, allowed: bool) -> list:
+    calls = []
+    real = catalan._convolve
+
+    def recording(*args):
+        if not allowed:
+            raise AssertionError("the exact q-ary loop ran under a word modulus")
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(catalan, "_convolve", recording)
+    return calls
+
+
+@given(st.integers(2, 5), st.integers(0, 30), Q_WEIGHTS, Q_MODULI)
+@settings(max_examples=80, deadline=None)
+def test_q_ary_residues_reduce_the_exact_value(q, n, b, m):
+    assert q_weighted_catalan(b, q, n, m) == q_weighted_catalan(b, q, n) % m
+
+
+@pytest.mark.parametrize("m", [2, 97, 884952143, WORD - 1])
+def test_word_moduli_never_run_the_exact_loop(monkeypatch, m):
+    b = WeightFunction.polynomial([3, -5, 2])
+    exact = [q_weighted_catalan(b, 3, n) for n in range(25)]
+    _record_convolve(monkeypatch, allowed=False)
+    assert [q_weighted_catalan(b, 3, n, m) for n in range(25)] == [v % m for v in exact]
+
+
+@pytest.mark.parametrize("m", [WORD, WORD + 1, 618970019642690137449562111])
+def test_wider_moduli_reduce_the_exact_value(monkeypatch, m):
+    b = WeightFunction.polynomial([3, -5, 2])
+    exact = q_weighted_catalan(b, 3, 20)
+    calls = _record_convolve(monkeypatch, allowed=True)
+    assert q_weighted_catalan(b, 3, 20, m) == exact % m
+    assert calls

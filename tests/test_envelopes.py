@@ -67,6 +67,16 @@ CASES = [
     ('compute --weight preset:ones --n -1', 3, 'error: semilength must be nonnegative\n', 'e3b0c44298fc1c14'),
     ('compute --weight preset:ones --n -1 --mod 7', 3, 'error: semilength must be nonnegative\n', 'e3b0c44298fc1c14'),
     ('compute --weight preset:ones --n 3 --mod 1', 3, 'error: modulus must be at least 2, got 1\n', 'e3b0c44298fc1c14'),
+    # one exact value from the half-length DP (below the 4300-digit limit)
+    ('compute --weight preset:morse --n 700', 0, '', 'bc7c0bf484667fd2'),
+    # q-ary residues: a word modulus, one wider than 64 bits, and n = 0
+    ('compute --weight preset:ones --n 120 --q 3 --mod 884952143', 0, '', '3b6db767ea1b8259'),
+    ('compute --weight poly:3,-5,2 --n 60 --q 3 --mod 618970019642690137449562111', 0, '', 'f8dd4a285fdfead8'),
+    ('compute --weight preset:ones --n 0 --q 3 --mod 2', 0, '', '1af0255ac3a49aa7'),
+    # the CLI checks the modulus before the semilength and the weights
+    ('compute --weight preset:ones --n -1 --mod 1', 3, 'error: modulus must be at least 2, got 1\n', 'e3b0c44298fc1c14'),
+    ('compute --weight preset:ones --n -1 --q 3 --mod 1', 3, 'error: modulus must be at least 2, got 1\n', 'e3b0c44298fc1c14'),
+    ('compute --weight table:1,9 --n 5 --mod 1', 3, 'error: modulus must be at least 2, got 1\n', 'e3b0c44298fc1c14'),
     ('compute --weight bogus --n 2', 2, "error: weight spec 'bogus' has no kind prefix; expected preset:NAME | poly:c0,c1,... | table:v0,v1,...\nweight grammar: preset:NAME | poly:c0,c1,... | table:v0,v1,...\n", 'e3b0c44298fc1c14'),
     ('compute --n 3', 2, 'wcatalan compute: error: the following arguments are required: --weight', 'e3b0c44298fc1c14'),
     ('valuation --weight preset:morse --p 2 --expr cb-1 --range 1..200', 0, '', 'bb5208478e75daa2'),

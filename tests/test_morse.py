@@ -30,6 +30,10 @@ class TestMorseNumbers:
         assert morse_number(2) == 10  # 9 + 1 over the two paths
         assert morse_number(3) == 325  # 225 + 81 + 9 + 9 + 1
 
+    def test_single_value_matches_the_series(self):
+        # one value takes the half-length DP, the series the whole one
+        assert morse_number(300) == weighted_catalan_series(MORSE, 300)[300]
+
     def test_weight_powers(self):
         assert morse_weight(1) is MORSE
         assert morse_weight(2)(1) == 81
@@ -154,10 +158,13 @@ class TestCertificationLadder:
             assert got[top] >= valuation(p, lower)
 
     def test_last_rung_stops_at_the_depth_cap(self, monkeypatch):
-        # b = 1 makes C^b - C identically zero: every rung, then exact values
+        # b = 3^25 makes xi_3(C_n^b) >= 25 n, past the cap 3^1292 from n = 52
+        # on: those rows climb every rung, then take exact values
+        weight = WeightFunction.polynomial([3**25])
         calls = _record_moduli(monkeypatch)
-        got = _certified_valuations(WeightFunction.preset("ones"), "cb-c", 3, 60)
-        assert got == [None] * 61
+        got = _certified_valuations(weight, "cb", 3, 60)
+        assert got == _exact_valuations(weight, "cb", 3, 60)
+        assert max(got) > 1292
         moduli = [m for _, m in calls]
         assert all(upper == lower**2 for lower, upper in zip(moduli, moduli[1:-1]))
         # the largest power of 3 up to 2^2048, even though doubling skips it
@@ -178,6 +185,30 @@ class TestCertificationLadder:
             assert got == [None] + [0] * 500
         else:
             assert got == [None] + [valuation(p, c) for c in catalan_series(500)[1:]]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_all_ones_weight_has_no_cb_c_rows_to_certify(self, monkeypatch, p):
+        # b = 1 gives C^b = C, so every cb-c row is an exact zero
+        calls = _record_moduli(monkeypatch)
+        got = _certified_valuations(WeightFunction.preset("ones"), "cb-c", p, 1000)
+        assert calls == []
+        assert got == [None] * 1001
+
+    @pytest.mark.parametrize("ones", [3, 8, 9, 200, 399])
+    def test_cb_c_ladder_starts_past_the_leading_ones(self, monkeypatch, ones):
+        # b(0..ones-1) = 1 makes rows n <= ones exact zeros; the rest climb
+        weight = WeightFunction.from_table([1] * ones + [5, 1, 3] * 150)
+        calls = _record_moduli(monkeypatch)
+        got = _certified_valuations(weight, "cb-c", 2, 400)
+        assert got == _exact_valuations(weight, "cb-c", 2, 400)
+        assert got[: ones + 1] == [None] * (ones + 1)
+        assert all(v is not None for v in got[ones + 1 :])
+        assert calls and calls[0][0] == 400
+
+    def test_all_ones_table_still_needs_its_values(self):
+        # long enough for the exact rows, too short for the scan of leading ones
+        with pytest.raises(DomainError, match=r"evaluate b\(20\)"):
+            _certified_valuations(WeightFunction.from_table([1] * 20), "cb-c", 2, 400)
 
     def test_zero_constant_table_still_needs_its_values(self):
         with pytest.raises(DomainError, match=r"evaluate b\(3\)"):

@@ -3,7 +3,8 @@
 `kernel._dyck_dp` is the reference: the engine in `series` and the kernel
 switch in front of both must return the same residues for every weight,
 modulus and height cap, and the kernel's one argument check must raise the
-same errors on either side of the crossover.
+same errors on either side of the crossover.  The half-length exact value
+`kernel.dyck_value_exact` must equal the last entry of the exact DP.
 """
 
 import pytest
@@ -116,7 +117,7 @@ ERROR_TEXT = (
     ],
 )
 def test_engines_raise_the_same_errors(bvals, n, m, cap):
-    """Both kernel entry points raise the user-visible DomainError, whichever
+    """Every kernel entry point raises the user-visible DomainError, whichever
     engine the arguments would select; exact calls share the texts that do
     not concern the modulus."""
     with pytest.raises(DomainError, match=ERROR_TEXT) as residue:
@@ -127,6 +128,10 @@ def test_engines_raise_the_same_errors(bvals, n, m, cap):
     with pytest.raises(DomainError) as exact:
         kernel.dyck_dp_exact(bvals, n, cap)
     assert str(exact.value) == str(residue.value)
+    if cap is None:
+        with pytest.raises(DomainError) as value:
+            kernel.dyck_value_exact(bvals, n)
+        assert str(value.value) == str(residue.value)
 
 
 @given(cases(st.integers(0, 40)))
@@ -209,3 +214,20 @@ def test_engine_matches_dp_at_the_word_boundary():
             assert got == [v % m for v in reference[:terms]], (m, terms)
     # the first certification rung for n_max = 2048 at p = 2 is narrower
     assert series.dyck_series_mod(bvals, n, 2**24, n) == [v % 2**24 for v in reference]
+
+
+@st.composite
+def half_length_cases(draw):
+    n = draw(st.integers(0, 80))
+    # poly:2,-1 has b(2) = 0 and negatives after it; poly:0,1 has b(0) = 0
+    named = st.sampled_from([[2, -1], [0, 1]]).map(
+        lambda c: WeightFunction.polynomial(c).values(0, n)
+    )
+    return draw(st.one_of(named, weights(n))), n
+
+
+@given(half_length_cases())
+@settings(max_examples=120, deadline=None)
+def test_half_length_value_matches_the_dp(case):
+    bvals, n = case
+    assert kernel.dyck_value_exact(bvals, n) == kernel.dyck_dp_exact(bvals, n)[n]
