@@ -4,8 +4,8 @@ The binary values come from `kernel`, which checks the arguments and picks
 an engine: a whole series from the Dyck DP or the S-fraction tree, and one
 exact value from the half-length DP.  In the q-ary engine a vertex at
 non-right depth x carries weight b(x); it builds the generating functions
-of subtrees bottom-up, in residues through `series` when the modulus fits
-one machine word, and otherwise exactly, reducing only the final value.
+of subtrees bottom-up, in residues through `series` when the modulus has
+at most 128 bits, and otherwise exactly, reducing only the final value.
 """
 
 from __future__ import annotations
@@ -63,6 +63,18 @@ def _convolve(a: list[int], b: list[int], size: int) -> list[int]:
     return out
 
 
+# The widest modulus for the q-ary residue engine.  Its cost grows with
+# about the square of the modulus width, and the exact loop's with the size
+# of the values, so b = 1, with the smallest values, sets the cut.  Exact
+# loop against residues at 64 / 128 / 192 bits, in process (Python 3.11,
+# 2-core x86-64 VM): b = 1 at q = 3, n = 240, 0.68 s against 0.21 / 0.43 /
+# 0.72 s; at q = 2, n = 240, 0.32 s against 0.15 / 0.31 / 0.47 s; at q = 5,
+# n = 200, 0.96 s against 0.22 / 0.47 / 0.99 s.  Heavier weights move the
+# cut out: b = 3 - 5x + 2x^2 and the Morse weights at q = 3, n = 240 take
+# 4.4 and 5.0 s exactly, against at most 0.50 s at 128 bits and 2.0 s at 384.
+_Q_RESIDUE_BITS = 128
+
+
 def q_weighted_catalan(b: WeightFunction, q: int, n: int, modulus: int | None = None) -> int:
     """Total weight of q-ary trees on n vertices: exact, or reduced mod `modulus`.
 
@@ -75,13 +87,8 @@ def q_weighted_catalan(b: WeightFunction, q: int, n: int, modulus: int | None = 
     since the q-1 non-right subtrees descend one level and the right
     subtree stays.  The answer is F_0(n).
 
-    A modulus of at most one 64-bit word takes the residue engine
-    `_q_weighted_mod`; a wider one reduces the exact value.  The residue
-    engine's cost grows with about the square of the modulus width, and
-    the exact loop's with the size of the values.  At q = 3 and n = 240
-    for b = 1, the smallest values, the exact loop took 1.35 s and the
-    residues 0.12 s at 27 bits, 0.34 s at 64, 0.83 s at 128 and 2.2 s at
-    256 (Python 3.11, 2-core x86-64 VM).
+    A modulus of at most `_Q_RESIDUE_BITS` bits takes the residue engine
+    `_q_weighted_mod`; a wider one reduces the exact value.
     """
     if q < 2:
         raise DomainError(f"branching must be at least 2, got {q}")
@@ -90,9 +97,9 @@ def q_weighted_catalan(b: WeightFunction, q: int, n: int, modulus: int | None = 
     if modulus is not None and modulus < 2:
         raise DomainError(f"modulus must be at least 2, got {modulus}")
     if n == 0:
-        return 1 if modulus is None else 1 % modulus
+        return 1
     bv = b.values(0, n)
-    if modulus is not None and modulus.bit_length() <= kernel._WORD_BITS:
+    if modulus is not None and modulus.bit_length() <= _Q_RESIDUE_BITS:
         return _q_weighted_mod(bv, q, n, modulus)
     rows: dict[int, list[int]] = {n: [1]}
     for x in range(n - 1, -1, -1):

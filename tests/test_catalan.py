@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcatalan import catalan, kernel
+from wcatalan import catalan
 from wcatalan.catalan import (
     catalan_number,
     catalan_series,
@@ -196,12 +196,15 @@ class TestQAry:
         assert catalan_series(40)[40] == catalan_number(40)
 
 
-# Word moduli (the residue engine) and wider ones (exact, then reduced).
-WORD = 2**kernel._WORD_BITS
+# Moduli of at most 128 bits (the residue engine), among them one word and
+# wider, and moduli past the cut (exact, then reduced).
+WORD = 2**64
+CUT = 2**catalan._Q_RESIDUE_BITS
 Q_MODULI = st.one_of(
-    st.sampled_from([2, 3, 4, WORD - 1, WORD, WORD + 1]),
+    st.sampled_from([2, 3, 4, WORD - 1, WORD, WORD + 1, CUT - 1, CUT, CUT + 1]),
     st.integers(2, WORD - 1),
-    st.integers(WORD, 2**130),
+    st.integers(WORD, CUT - 1),
+    st.integers(CUT, 2**200),
 )
 # Zero and negative weight values, inside and at the ends of the window.
 Q_WEIGHTS = st.one_of(
@@ -216,7 +219,7 @@ def _record_convolve(monkeypatch, allowed: bool) -> list:
 
     def recording(*args):
         if not allowed:
-            raise AssertionError("the exact q-ary loop ran under a word modulus")
+            raise AssertionError("the exact q-ary loop ran under a residue modulus")
         calls.append(args)
         return real(*args)
 
@@ -230,15 +233,15 @@ def test_q_ary_residues_reduce_the_exact_value(q, n, b, m):
     assert q_weighted_catalan(b, q, n, m) == q_weighted_catalan(b, q, n) % m
 
 
-@pytest.mark.parametrize("m", [2, 97, 884952143, WORD - 1])
-def test_word_moduli_never_run_the_exact_loop(monkeypatch, m):
+@pytest.mark.parametrize("m", [2, 97, 884952143, WORD - 1, WORD + 1, 618970019642690137449562111, CUT - 1])
+def test_residue_moduli_never_run_the_exact_loop(monkeypatch, m):
     b = WeightFunction.polynomial([3, -5, 2])
     exact = [q_weighted_catalan(b, 3, n) for n in range(25)]
     _record_convolve(monkeypatch, allowed=False)
     assert [q_weighted_catalan(b, 3, n, m) for n in range(25)] == [v % m for v in exact]
 
 
-@pytest.mark.parametrize("m", [WORD, WORD + 1, 618970019642690137449562111])
+@pytest.mark.parametrize("m", [CUT, CUT + 1, 2**200 - 1])
 def test_wider_moduli_reduce_the_exact_value(monkeypatch, m):
     b = WeightFunction.polynomial([3, -5, 2])
     exact = q_weighted_catalan(b, 3, 20)

@@ -69,10 +69,14 @@ CASES = [
     ('compute --weight preset:ones --n 3 --mod 1', 3, 'error: modulus must be at least 2, got 1\n', 'e3b0c44298fc1c14'),
     # one exact value from the half-length DP (below the 4300-digit limit)
     ('compute --weight preset:morse --n 700', 0, '', 'bc7c0bf484667fd2'),
-    # q-ary residues: a word modulus, one wider than 64 bits, and n = 0
+    # q-ary residues: a word modulus, an 89-bit one, and n = 0
     ('compute --weight preset:ones --n 120 --q 3 --mod 884952143', 0, '', '3b6db767ea1b8259'),
     ('compute --weight poly:3,-5,2 --n 60 --q 3 --mod 618970019642690137449562111', 0, '', 'f8dd4a285fdfead8'),
     ('compute --weight preset:ones --n 0 --q 3 --mod 2', 0, '', '1af0255ac3a49aa7'),
+    # q-ary residues at 127 and 128 bits, and past the cut (exact, then reduced)
+    ('compute --weight preset:morse --n 60 --q 3 --mod 170141183460469231731687303715884105727', 0, '', '351e5990fbd4313c'),
+    ('compute --weight preset:morse --n 60 --q 3 --mod 340282366920938463463374607431768211297', 0, '', '50b0b46461e86188'),
+    ('compute --weight preset:morse --n 60 --q 3 --mod 6864797660130609714981900799081393217269435300143305409394463459185543183397656052122559640661454554977296311391480858037121987999716643812574028291115057151', 0, '', 'a02c9976c9b2e258'),
     # the CLI checks the modulus before the semilength and the weights
     ('compute --weight preset:ones --n -1 --mod 1', 3, 'error: modulus must be at least 2, got 1\n', 'e3b0c44298fc1c14'),
     ('compute --weight preset:ones --n -1 --q 3 --mod 1', 3, 'error: modulus must be at least 2, got 1\n', 'e3b0c44298fc1c14'),

@@ -171,6 +171,18 @@ class TestCertificationLadder:
         assert moduli[-1] == 3**1292 <= 2**2048 < 3**1293
         assert moduli[-2] < moduli[-1] < moduli[-2] ** 2
 
+    def test_exact_zeros_climb_to_the_depth_cap(self, monkeypatch):
+        # 1 / (1 - t / (1 + t)) = 1 + t, so C_n^b = 0 for n >= 2, which no
+        # closed form catches: those rows climb every rung, then read as zeros
+        weight = WeightFunction.from_table([1, -1] + [0] * 59)
+        calls = _record_moduli(monkeypatch)
+        got = _certified_valuations(weight, "cb", 3, 60)
+        assert got[:2] == [0, 0]
+        assert got[2:] == [None] * 59
+        moduli = [m for _, m in calls]
+        assert all(upper == lower**2 for lower, upper in zip(moduli, moduli[1:-1]))
+        assert moduli[-1] == 3**1292
+
     @pytest.mark.parametrize("expr", ["cb", "cb-c", "cb-1"])
     @pytest.mark.parametrize("coeffs", [[0], [0, 1], [0, 3, -2]])
     @pytest.mark.parametrize("p", [2, 3])
