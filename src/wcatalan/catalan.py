@@ -6,6 +6,8 @@ exact value from the half-length DP.  In the q-ary engine a vertex at
 non-right depth x carries weight b(x); it builds the generating functions
 of subtrees bottom-up, in residues through `series` when the modulus has
 at most 128 bits, and otherwise exactly, reducing only the final value.
+A weight that is constant on the levels an n-vertex tree reaches skips
+both: the value is b(0)^n times the q-ary Catalan number.
 """
 
 from __future__ import annotations
@@ -47,10 +49,29 @@ def weighted_catalan_series(
 
 
 def weighted_catalan(b: WeightFunction, n: int, shift: int = 0, modulus: int | None = None) -> int:
-    """Weighted Catalan number of semilength n: exact, or reduced mod `modulus`."""
+    """Weighted Catalan number of semilength n: exact, or reduced mod `modulus`.
+
+    A residue counts only the paths at or below height k, for the least k
+    with m | b_0 ... b_k: a path above it takes an up-step from every level
+    0..k, so its weight vanishes mod m.
+    """
+    bvals = b.values(shift, n)
     if modulus is None:
-        return kernel.dyck_value_exact(b.values(shift, n), n)
-    return weighted_catalan_series(b, n, shift, modulus=modulus)[n]
+        return kernel.dyck_value_exact(bvals, n)
+    return kernel.dyck_dp_mod(bvals, n, modulus, _vanishing_height(bvals, modulus))[n]
+
+
+def _vanishing_height(bvals: list[int], modulus: int) -> int | None:
+    """Least k with `modulus` dividing bvals[0] ... bvals[k], or None.
+
+    None also for a modulus below 2, which the kernel reports.
+    """
+    prod = 1
+    for k, v in enumerate(bvals if modulus >= 2 else ()):
+        prod = prod * v % modulus
+        if not prod:
+            return k
+    return None
 
 
 def _convolve(a: list[int], b: list[int], size: int) -> list[int]:
@@ -87,8 +108,10 @@ def q_weighted_catalan(b: WeightFunction, q: int, n: int, modulus: int | None = 
     since the q-1 non-right subtrees descend one level and the right
     subtree stays.  The answer is F_0(n).
 
-    A modulus of at most `_Q_RESIDUE_BITS` bits takes the residue engine
-    `_q_weighted_mod`; a wider one reduces the exact value.
+    A weight that is constant on 0..n-1 takes the closed form
+    b(0)^n C(qn, n) / ((q-1)n + 1).  Otherwise a modulus of at most
+    `_Q_RESIDUE_BITS` bits takes the residue engine `_q_weighted_mod`; a
+    wider one, or none, runs the exact loop `_q_weighted_exact`.
     """
     if q < 2:
         raise DomainError(f"branching must be at least 2, got {q}")
@@ -99,8 +122,18 @@ def q_weighted_catalan(b: WeightFunction, q: int, n: int, modulus: int | None = 
     if n == 0:
         return 1
     bv = b.values(0, n)
-    if modulus is not None and modulus.bit_length() <= _Q_RESIDUE_BITS:
+    if bv.count(bv[0]) == n:
+        # every tree has n vertices, so a constant weight c scales each by c^n
+        value = bv[0] ** n * q_catalan(q, n)
+    elif modulus is not None and modulus.bit_length() <= _Q_RESIDUE_BITS:
         return _q_weighted_mod(bv, q, n, modulus)
+    else:
+        value = _q_weighted_exact(bv, q, n)
+    return value if modulus is None else value % modulus
+
+
+def _q_weighted_exact(bv: list[int], q: int, n: int) -> int:
+    """F_0(n) exactly, from the recurrence in `q_weighted_catalan`."""
     rows: dict[int, list[int]] = {n: [1]}
     for x in range(n - 1, -1, -1):
         limit = n - x
@@ -118,7 +151,7 @@ def q_weighted_catalan(b: WeightFunction, q: int, n: int, modulus: int | None = 
             row[k] = bv[x] * acc
         rows[x] = row
         del rows[x + 1]
-    return rows[0][n] if modulus is None else rows[0][n] % modulus
+    return rows[0][n]
 
 
 def _q_weighted_mod(bv: list[int], q: int, n: int, modulus: int) -> int:

@@ -159,6 +159,34 @@ class TestModular:
         capped = weighted_catalan_series(MORSE, 60, height_cap=3, modulus=7)
         assert full == capped
 
+    def test_single_residue_stops_at_the_vanishing_height(self, monkeypatch):
+        # 12 divides no single value of 2, 6, 5, ... but divides 2 * 6
+        cases = [
+            (WeightFunction.from_table([2, 6] + [5] * 78), 12, 1),
+            (WeightFunction.polynomial([1, 2, 4]), 1 + 2 * 7 + 4 * 49, 7),
+            (WeightFunction.polynomial([0, 1]), 5, 0),
+            (MORSE, 7, 3),
+        ]
+        # 1 + 2x + 4x^2 is always odd
+        assert catalan._vanishing_height(WeightFunction.polynomial([1, 2, 4]).values(0, 80), 4) is None
+        for b, m, k in cases:
+            assert catalan._vanishing_height(b.values(0, 80), m) == k
+            expected = [v % m for v in weighted_catalan_series(b, 80)]
+            caps = []
+            real = catalan.kernel.dyck_dp_mod
+            monkeypatch.setattr(
+                catalan.kernel, "dyck_dp_mod",
+                lambda bv, n, mod, cap=None: caps.append(cap) or real(bv, n, mod, cap),
+            )
+            assert [weighted_catalan(b, n, modulus=m) for n in range(81)] == expected
+            assert caps == [None] * min(k + 1, 81) + [k] * (80 - k)
+            monkeypatch.undo()
+
+    def test_single_residue_reports_a_small_modulus(self):
+        for m in (1, 0, -3):
+            with pytest.raises(DomainError, match=f"^modulus must be at least 2, got {m}$"):
+                weighted_catalan(MORSE, 5, modulus=m)
+
 
 class TestQAry:
     def test_q_catalan_examples(self):
@@ -173,6 +201,25 @@ class TestQAry:
         for q in (2, 3, 4):
             for n in range(13):
                 assert q_weighted_catalan(ONES, q, n) == q_catalan(q, n)
+                # the loop that the closed form skips agrees with it too
+                assert catalan._q_weighted_exact([1] * n, q, n) == q_catalan(q, n)
+
+    def test_constant_weights_skip_both_loops(self, monkeypatch):
+        loops = {}
+        for c in (-3, -1, 0, 2, 5):
+            for q in (2, 3, 5):
+                for n in range(1, 16):
+                    loops[c, q, n] = catalan._q_weighted_exact([c] * n, q, n)
+        _record_convolve(monkeypatch, allowed=False)
+        monkeypatch.setattr(catalan, "_q_weighted_mod", None)
+        for (c, q, n), value in loops.items():
+            b = WeightFunction.polynomial([c])
+            assert q_weighted_catalan(b, q, n) == value
+            for m in (2, 884952143, 2**200 - 1):
+                assert q_weighted_catalan(b, q, n, m) == value % m
+        # constant only on the levels an n-vertex tree reaches: b(0..n-1)
+        b = WeightFunction.from_table([7] * 12 + [1])
+        assert q_weighted_catalan(b, 3, 12) == 7**12 * q_catalan(3, 12)
 
     def test_binary_specialization(self):
         b = WeightFunction.polynomial([1, 9])
