@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--minimal", action="store_true")
     p.add_argument("--reduce", action="store_true")
-    p.add_argument("--max-orbit-n", type=int, default=orbits.DEFAULT_ENUM_CAP)
+    p.add_argument("--max-orbit-n", type=int, help="default 16 at q = 2, 14 at q = 3, 13 above")
     p.set_defaults(func=_cmd_orbits)
 
     p = sub.add_parser("epsilon", help="orbit carry bits by one or all oracles")

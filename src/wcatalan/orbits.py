@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .arith import ValueTable, finite_difference
@@ -31,7 +32,7 @@ __all__ = [
     "epsilon_recursive",
     "coin_oracle",
     "reduce_orbit",
-    "DEFAULT_ENUM_CAP",
+    "enum_cap",
     "COIN_VERTEX_CAP",
     "COIN_ORDER_CAP",
     "EPSILON_DEPTH_CAP",
@@ -40,7 +41,6 @@ __all__ = [
     "epsilon_order_cap",
 ]
 
-DEFAULT_ENUM_CAP = 16
 COIN_VERTEX_CAP = 6
 COIN_ORDER_CAP = 4
 # Deepest binary shape the carry oracles take; see `epsilon_depth_cap`.
@@ -50,6 +50,18 @@ EPSILON_DEPTH_CAP = 32
 # 0.6 s at m = 64 and 3.3 s at m = 128 on (()(())), and 1.3 s at m = 32 and
 # 5.7 s at m = 64 on a path of depth 32 (2-core x86-64, Python 3.11).
 EPSILON_ORDER_CAP = 32
+
+
+def enum_cap(q: int) -> int:
+    """Most vertices `enumerate_orbits` takes by default at branching q.
+
+    The largest n with at most 24,631 orbits, the binary count at n = 16:
+    16 at q = 2 (56,011 orbits at n = 17), 14 at q = 3 (19,241; 48,865 at
+    n = 15) and 13 at q >= 4.  At q >= 4 there are at most 12,486 orbits
+    at n = 13, the count of all rooted trees, and at least 27,790 at
+    n = 14, the count at q = 4.
+    """
+    return {2: 16, 3: 14}.get(q, 13)
 
 
 def epsilon_depth_cap(q: int) -> int:
@@ -94,21 +106,23 @@ def _key_depth(key) -> int:
     return 1 + max(_key_depth(k) for k in key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitShape:
     """Canonical unordered rooted tree with at most q children per node.
 
     The key lists each node's children sorted by their own keys, so two
     ordered trees lie in the same symmetry orbit exactly when their keys
-    agree.  The empty tree has key None.
+    agree.  The empty tree has key None.  A shape from `enumerate_orbits`
+    also carries its parens string and orbit size, built with its key.
     """
 
     q: int
     key: tuple | None
+    _parens: str | None = field(default=None, compare=False, repr=False)
+    _size: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.q < 2:
-            raise DomainError(f"branching must be at least 2, got {self.q}")
+        _check_branching(self.q)
 
     @classmethod
     def empty(cls, q: int = 2) -> "OrbitShape":
@@ -153,14 +167,18 @@ class OrbitShape:
         """Nested-parentheses encoding, children in canonical order.
 
         Rendered by C-level string work on the key's repr, with no Python
-        recursion; the string has two characters per vertex.
+        recursion, unless the shape carries it; the string has two
+        characters per vertex.
         """
+        if self._parens is not None:
+            return self._parens
         if self.key is None:
             return ""
         return repr(self.key).translate(_PARENS_ONLY)
 
     @classmethod
     def from_parens(cls, text: str, q: int = 2) -> "OrbitShape":
+        _check_branching(q)
         stripped = text.strip()
         if not stripped:
             return cls.empty(q)
@@ -190,41 +208,91 @@ def _parse_parens(text: str, pos: int, q: int):
     return tuple(sorted(kids)), pos + 1
 
 
+def _check_branching(q: int) -> None:
+    if q < 2:
+        raise DomainError(f"branching must be at least 2, got {q}")
+
+
 @lru_cache(maxsize=None)
-def _shape_keys(n: int, q: int) -> tuple:
-    """All canonical keys with n >= 1 vertices and branching at most q."""
-    if n == 1:
-        return ((),)
-    out = []
-    for kids in _child_multisets(n - 1, q, None, q):
-        out.append(tuple(sorted(kids)))
-    return tuple(out)
+def _layer(n: int, q: int) -> tuple:
+    """Every orbit on n >= 1 vertices as (key, parens, size); inner layers only."""
+    return tuple(_layer_rows(n, q))
 
 
-def _child_multisets(total: int, slots: int, bound, q: int):
-    """Multisets of child keys, total vertex count `total`, at most `slots` items.
+def _layer_rows(n: int, q: int) -> list:
+    """Every orbit on n >= 1 vertices as (key, parens, size), in canonical order.
 
-    Children are chosen in nonincreasing (size, key) order so each multiset
-    appears exactly once; `bound` caps the next allowed (size, key).
+    A root's children are chosen in nonincreasing (size, key) order: sizes
+    from large to small, each size in its own layer's order, and a child of
+    the previous child's size only if its key is no larger.  So each
+    multiset of children comes out once, and equal children are adjacent.
+    The key sorts the children; the parens string joins theirs in key
+    order; the size is perm(q, k) times the child sizes over the factorial
+    of each multiplicity.  The smaller layers come from `_layer`.
     """
-    if total == 0:
-        yield ()
-        return
-    if slots == 0:
-        return
-    max_size = total if bound is None else min(total, bound[0])
-    for size in range(max_size, 0, -1):
-        for key in _shape_keys(size, q):
-            if bound is not None and size == bound[0] and key > bound[1]:
-                continue
-            for rest in _child_multisets(total - size, slots - 1, (size, key), q):
-                yield (key,) + rest
+    if n == 1:
+        return [((), "()", 1)]
+    layers = [()] + [_layer(s, q) for s in range(1, n)]
+    rows = []
+    emit = rows.append
+
+    def fill(total, slots, top, prev, run, size, keys, parens):
+        # keys and parens: the j children so far, sorted by key; prev: the
+        # last one chosen, and run its multiplicity so far; size:
+        # q (q-1) ... (q-j+1) times their sizes over the factorials of
+        # their multiplicities.  The next child has at most `top` vertices,
+        # and a key no larger than prev's if it has `top`.
+        for width in range(min(total, top), 0, -1):
+            if width * slots < total:
+                break  # the slots left cannot hold the vertices left
+            rest = total - width
+            bound = prev[0] if width == top else None
+            for child in layers[width]:
+                key = child[0]
+                if bound is not None and key > bound:
+                    continue
+                mult = run + 1 if child is prev else 1
+                grown = size * slots // mult * child[2]
+                if rest and slots == 2 and not keys:
+                    # a binary root's second child takes the remainder: the
+                    # bulk of binary rows, built here without a recursive call
+                    text, twin = child[1], rest == width
+                    for last in layers[rest]:
+                        other = last[0]
+                        if twin and other > key:
+                            continue
+                        both = grown // 2 * last[2] if last is child else grown * last[2]
+                        if other < key:
+                            emit(((other, key), f"({last[1]}{text})", both))
+                        else:
+                            emit(((key, other), f"({text}{last[1]})", both))
+                    continue
+                if keys:
+                    i = bisect_right(keys, key)
+                    kids = keys[:i] + (key,) + keys[i:]
+                    texts = parens[:i] + (child[1],) + parens[i:]
+                else:
+                    kids, texts = (key,), (child[1],)
+                if rest:
+                    fill(rest, slots - 1, width, child, mult, grown, kids, texts)
+                else:
+                    emit((kids, "(" + "".join(texts) + ")", grown))
+
+    fill(n - 1, q, n, None, 0, 1, (), ())
+    return rows
 
 
-def enumerate_orbits(n: int, q: int = 2, max_n: int = DEFAULT_ENUM_CAP) -> list[OrbitShape]:
-    """All orbits of trees on n vertices, as canonical shapes."""
+def enumerate_orbits(n: int, q: int = 2, max_n: int | None = None) -> list[OrbitShape]:
+    """All orbits of trees on n vertices, as canonical shapes.
+
+    Each shape carries the parens string and size it was built with.  At
+    most `max_n` vertices are allowed, `enum_cap(q)` by default.
+    """
+    _check_branching(q)
     if n < 0:
         raise DomainError("vertex count must be nonnegative")
+    if max_n is None:
+        max_n = enum_cap(q)
     if n > max_n:
         raise ResourceLimitError(
             f"orbit enumeration capped at {max_n} vertices (requested {n});"
@@ -232,7 +300,7 @@ def enumerate_orbits(n: int, q: int = 2, max_n: int = DEFAULT_ENUM_CAP) -> list[
         )
     if n == 0:
         return [OrbitShape.empty(q)]
-    return [OrbitShape(q, k) for k in _shape_keys(n, q)]
+    return [OrbitShape(q, key, parens, size) for key, parens, size in _layer_rows(n, q)]
 
 
 def orbit_size(shape: OrbitShape) -> int:
@@ -243,8 +311,11 @@ def orbit_size(shape: OrbitShape) -> int:
     interchangeable.  The orbit size is the product over all nodes.  The
     children of a key are sorted, so equal children form adjacent runs;
     inner subtrees are sized once each through `_subtree_size`, and the
-    top-level key is not stored.
+    top-level key is not stored.  A shape from `enumerate_orbits` carries
+    its size.
     """
+    if shape._size is not None:
+        return shape._size
     if shape.is_empty:
         return 1
     return _node_size(shape.key, shape.q)

@@ -108,6 +108,25 @@ class TestOrbits:
         env = run_json(capsys, "orbits", "--n", "17", "--max-orbit-n", "17")
         assert len(env["result"]) == 56011
 
+    @pytest.mark.parametrize("q, cap", [(2, 16), (3, 14), (4, 13), (8, 13)])
+    def test_cap_depends_on_q(self, capsys, q, cap):
+        # at q = 3 and 8 the old flat cap of 16 let 124,906 and 234,746 rows through
+        code, out, err = run_cli(capsys, "orbits", "--q", str(q), "--n", str(cap + 1))
+        assert code == 4 and out == ""
+        assert f"capped at {cap} vertices (requested {cap + 1})" in err
+        env = run_json(
+            capsys, "orbits", "--q", str(q), "--n", str(cap + 1), "--max-orbit-n", str(cap + 1)
+        )
+        assert all(r["vertices"] == cap + 1 for r in env["result"])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("q", [-1, 0, 1])
+    def test_branching_below_two(self, capsys, q, n):
+        # at q = 0 and n >= 2 this used to print "result": [] and exit 0
+        code, out, err = run_cli(capsys, "orbits", "--q", str(q), "--n", str(n))
+        assert (code, out) == (3, "")
+        assert err == f"error: branching must be at least 2, got {q}\n"
+
 
 class TestEpsilon:
     def test_all_methods_agree(self, capsys):

@@ -101,7 +101,22 @@ CASES = [
     ('orbits --n 46 --minimal --reduce', 0, '', 'ba81b338c775681f'),
     ('orbits --n 14 --max-orbit-n 14', 0, '', '2512be2ee336b4e2'),
     ('orbits --q 3 --n 9 --reduce', 0, '', '3c7346d17d4fa31d'),
+    # the enumeration order: binary at the default cap, and wide q, where a
+    # node has more than two child slots to fill
+    ('orbits --n 16 --max-orbit-n 16', 0, '', 'b7ae8c56f40f977c'),
+    ('orbits --q 3 --n 11', 0, '', 'b243702d389b09a9'),
+    ('orbits --q 4 --n 9', 0, '', '3720cf123b102152'),
+    ('orbits --q 5 --n 8 --reduce', 0, '', '78fcd7b8f2547808'),
     ('orbits --n 12 --max-orbit-n 5', 4, 'error: orbit enumeration capped at 5 vertices (requested 12); raise the cap explicitly to go further\n', 'e3b0c44298fc1c14'),
+    # the default cap depends on q: 14 at q = 3 and 13 at q >= 4; both
+    # commands ran with exit 0 while the cap was 16 for every q
+    ('orbits --q 3 --n 15', 4, 'error: orbit enumeration capped at 14 vertices (requested 15); raise the cap explicitly to go further\n', 'e3b0c44298fc1c14'),
+    ('orbits --q 4 --n 14', 4, 'error: orbit enumeration capped at 13 vertices (requested 14); raise the cap explicitly to go further\n', 'e3b0c44298fc1c14'),
+    # q < 2 is refused before any work; the first printed "result": [] with
+    # exit 0, and the epsilon one said "at most 0 allowed"
+    ('orbits --q 0 --n 3', 3, 'error: branching must be at least 2, got 0\n', 'e3b0c44298fc1c14'),
+    ('orbits --q -1 --n 2', 3, 'error: branching must be at least 2, got -1\n', 'e3b0c44298fc1c14'),
+    ('epsilon --q 0 --weight preset:morse --shape (()) --m 2', 3, 'error: branching must be at least 2, got 0\n', 'e3b0c44298fc1c14'),
     ('epsilon --weight preset:morse --shape (()()) --m 4', 0, '', '0f86db94f617c6ae'),
     ('epsilon --weight preset:morse --m 1 --shape ' + '(' * 33 + ')' * 33, 4, 'error: carry oracles capped at shape depth 32 (requested 33)\n', 'e3b0c44298fc1c14'),
     # the depth cap depends on q: 17 at q = 3 and 11 at q = 4; the two

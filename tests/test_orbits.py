@@ -13,9 +13,8 @@ from wcatalan.catalan import catalan_number, weighted_catalan
 from wcatalan.errors import DomainError, ResourceLimitError
 from wcatalan.orbits import (
     OrbitShape,
+    _layer,
     _ordered_representative,
-    _shape_keys,
-    _subtree_size,
     average_weight,
     coin_oracle,
     complete_shape,
@@ -67,6 +66,26 @@ class TestShapes:
         assert complete_shape(0).is_empty
 
 
+@cache
+def forest_count(total: int, slots: int, largest: int, q: int) -> int:
+    """Multisets of at most `slots` orbits of at most `largest` vertices each."""
+    if total == 0:
+        return 1
+    out = 0
+    for size in range(1, min(total, largest) + 1):
+        kinds = tree_count(size, q)
+        for mult in range(1, min(slots, total // size) + 1):
+            out += math.comb(kinds + mult - 1, mult) * forest_count(
+                total - mult * size, slots - mult, size - 1, q
+            )
+    return out
+
+
+def tree_count(n: int, q: int) -> int:
+    """Orbits on n >= 1 vertices with at most q children per node."""
+    return forest_count(n - 1, q, n - 1, q)
+
+
 class TestEnumeration:
     def test_counts(self):
         # unordered binary trees on n vertices (Wedderburn-Etherington shifted)
@@ -85,6 +104,31 @@ class TestEnumeration:
     def test_orbit_partition(self):
         for n in range(13):
             assert sum(orbit_size(s) for s in enumerate_orbits(n)) == catalan_number(n)
+
+    def test_branching_is_checked_first(self):
+        for q in (-1, 0, 1):
+            for n in (-1, 0, 1, 2, 3, 20):
+                with pytest.raises(DomainError, match="branching must be at least 2"):
+                    enumerate_orbits(n, q)
+            with pytest.raises(DomainError, match="branching must be at least 2"):
+                OrbitShape.from_parens("(())", q)
+
+    def test_default_cap_keeps_the_binary_row_count(self):
+        # the largest n with at most 24,631 orbits, the binary count at n = 16
+        for q in range(2, 12):
+            counts = [tree_count(n, q) for n in range(1, 20)]
+            assert orbits.enum_cap(q) == max(n for n, c in enumerate(counts, 1) if c <= 24631)
+        assert [tree_count(n, 3) for n in (14, 15)] == [19241, 48865]
+        for q, cap in ((3, 14), (4, 13)):
+            assert len(enumerate_orbits(cap, q)) == tree_count(cap, q)
+            with pytest.raises(ResourceLimitError):
+                enumerate_orbits(cap + 1, q)
+
+    def test_reference_counts(self):
+        for q in (2, 3, 4, 5):
+            assert [len(enumerate_orbits(n, q)) for n in range(1, 9)] == [
+                tree_count(n, q) for n in range(1, 9)
+            ]
 
     def test_ternary_counts(self):
         # unordered rooted trees with <= 3 children: 1, 1, 1, 2, 4, 8, 17, 39
@@ -168,11 +212,16 @@ def parens_strings(draw, q):
 
 
 class TestRowPath:
-    @pytest.mark.parametrize("q, n_max", [(2, 14), (3, 10), (4, 9)])
+    @pytest.mark.parametrize("q, n_max", [(2, 14), (3, 10), (4, 9), (5, 8)])
     def test_every_enumerated_key(self, q, n_max):
+        # the parens and sizes the enumerator builds, against the references
         for n in range(1, n_max + 1):
             for shape in enumerate_orbits(n, q):
                 assert_rows_match_references(shape)
+
+    def test_every_binary_key_on_15_vertices(self):
+        for shape in enumerate_orbits(15):
+            assert_rows_match_references(shape)
 
     def test_every_minimal_key(self):
         for n in range(1, 130):
@@ -190,8 +239,8 @@ class TestRowPath:
         assert OrbitShape.from_parens(shape.to_parens(), q) == shape
 
     def test_memo_holds_inner_subtrees_only(self):
-        # after enumeration, the row loop may fill only the size memo, and
-        # only with child subtrees: never one entry per top-level row
+        # enumeration caches the layers below the top one, and the row loop
+        # adds no cache entry anywhere: never one entry per top-level row
         n, q = 13, 2
         caches = [
             value
@@ -201,15 +250,20 @@ class TestRowPath:
         for cache in caches:
             cache.cache_clear()
         shapes = enumerate_orbits(n, q)
-        others = [c for c in caches if c is not _subtree_size]
-        before = [c.cache_info().currsize for c in others]
+        before = [c.cache_info().currsize for c in caches]
         for shape in shapes:
             orbit_size(shape)
             shape.to_parens()
             shape.vertex_count
-        inner_keys = sum(len(_shape_keys(k, q)) for k in range(1, n))
-        assert _subtree_size.cache_info().currsize <= inner_keys < len(shapes)
-        assert [c.cache_info().currsize for c in others] == before
+        assert [c.cache_info().currsize for c in caches] == before
+        # the n - 1 cached layers are exactly layers 1..n-1
+        assert _layer.cache_info().currsize == n - 1
+        misses = _layer.cache_info().misses
+        assert [len(_layer(k, q)) for k in range(1, n)] == [
+            len(enumerate_orbits(k, q)) for k in range(1, n)
+        ]
+        assert _layer.cache_info().misses == misses
+        assert _layer.cache_info().currsize == n - 1
 
 
 class TestMinimalOrbits:
