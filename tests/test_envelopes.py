@@ -69,6 +69,9 @@ CASES = [
     ('compute --weight preset:ones --n 3 --mod 1', 3, 'error: modulus must be at least 2, got 1\n', 'e3b0c44298fc1c14'),
     # one exact value from the half-length DP (below the 4300-digit limit)
     ('compute --weight preset:morse --n 700', 0, '', 'bc7c0bf484667fd2'),
+    # exact values with a zero weight: b(1) = 0, and b(2) = 0 in a table
+    ('compute --weight poly:3,-5,2 --n 900', 0, '', '91aeff496655d474'),
+    ('compute --weight table:2,3,0,5,7 --n 4', 0, '', '183c44ee3a5d6a7c'),
     # q-ary residues: a word modulus, an 89-bit one, and n = 0
     ('compute --weight preset:ones --n 120 --q 3 --mod 884952143', 0, '', '3b6db767ea1b8259'),
     ('compute --weight poly:3,-5,2 --n 60 --q 3 --mod 618970019642690137449562111', 0, '', 'f8dd4a285fdfead8'),
@@ -88,6 +91,9 @@ CASES = [
     ('valuation --weight preset:morse --p 5 --expr cb-c --range 1..40 --format csv', 0, '', 'a132146187c5e337'),
     ('valuation --weight preset:morse --p 4 --expr cb --range 1..4', 3, 'error: valuation profiles need a prime p, got 4\n', 'e3b0c44298fc1c14'),
     ('valuation --weight poly:0 --p 2 --expr cb --range 1..5', 0, '', '7c08a66310203db3'),
+    # exact-mode windows (n <= 320): b(2) = 0, and the Morse weight at p = 5
+    ('valuation --weight poly:2,-1 --p 2 --range 1..300', 0, '', '0c40db8f3a243097'),
+    ('valuation --weight preset:morse --p 5 --expr cb-c --range 1..320', 0, '', '8bf6ff90c4e964d5'),
     # b(0) = 0 over residue-mode windows: the closed form, same envelopes
     ('valuation --weight poly:0 --p 2 --range 1..400', 0, '', '019edb7439c9a352'),
     ('valuation --weight poly:0,1 --p 3 --expr cb-c --range 1..500', 0, '', 'e9aa4d5cc3f53bc5'),
