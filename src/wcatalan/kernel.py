@@ -17,6 +17,18 @@ Residues mod m come from one of two pure-Python engines:
 Exact values come from the Dyck DP, which is also the reference the tree
 is tested against: the whole 2n-step DP for a series, and its first n
 steps for one value (`dyck_value_exact`).
+
+Both DPs run on normalized path weights.  Let U_s(j) be the total weight
+of the s-step paths from height 0 to height j, and B_j = b_0 ... b_(j-1).
+Every such path takes an up-step off each level below j, so U_s(j) =
+B_j V_s(j), where V_s(j) weighs each up-step 1 and each down-step from
+j + 1 to j by b_j: moving a level's weight from its up-step to the
+down-step back onto it leaves every closed path's weight unchanged
+(Flajolet 1980).  V follows V_(s+1)(j) = V_s(j - 1) + b_j V_s(j + 1) with
+no division, and its entries are smaller than U's by the factor B_j, so
+the big-int work per cell shrinks while the cells stay the same.  Paths
+above the first zero weight b_z never come back down past it, so both
+DPs stop at height z (mod m: the first zero residue).
 """
 
 from __future__ import annotations
@@ -79,69 +91,85 @@ def dyck_dp_exact(bvals, n_max: int, height_cap: int | None = None) -> list[int]
 def dyck_value_exact(bvals, n: int) -> int:
     """Exact C_n^b alone, from the first n steps of the Dyck DP.
 
-    After n steps, U(j) is the weight of all paths from height 0 to j.  A
-    path from j down to 0 reversed is a path from 0 up to j whose up-steps
-    were its down-steps, so it weighs its reverse divided by b_0 ... b_(j-1),
-    one up-step from each level below j.  Splitting every Dyck path at its
-    midpoint gives C_n^b = sum_j U(j) * (U(j) // (b_0 ... b_(j-1))), with
-    exact divisions.  A zero weight b_z makes U(j) = 0 for every j > z.
+    After n steps, V(j) = U(j) / B_j weighs the paths from height 0 to j,
+    and its reverse weighs the paths from j back down to 0.  Splitting every
+    Dyck path at its midpoint gives C_n^b = sum_j U(j) V(j) = sum_j B_j V(j)^2
+    over j = n (mod 2), which Horner's rule sums from the top, since
+    B_(j+2) = B_j b_j b_(j+1).  Heights above the first zero weight add 0.
     """
     _check_args(bvals, n, None, None)
-    b = list(bvals[:n])
+    b, top = _capped(list(bvals[:n]), n)
     even, odd = b[0::2], b[1::2]
-    # u[i] = U(2i + (s & 1)) after s steps; up-steps from u[i] land on
-    # u[i] of the next step at odd s + 1, and on u[i + 1] at even s + 1
-    u = [1]
+    # entries at or below the top, for even and odd heights
+    keep = (top // 2 + 1, (top + 1) // 2)
+    # v[i] = V(2i + (s & 1)) after s steps; a down-step from v[i + 1] lands
+    # on v[i] of the next step at odd s + 1, and from v[i] on v[i] at even s + 1
+    v = [1]
     for s in range(n):
-        up = list(map(mul, u, odd if s & 1 else even))
-        u = u[:1] * (s & 1) + list(map(add, up, u[1:])) + up[-1:]
-    total, below = 0, 1  # below = b_0 ... b_(j-1)
-    for j in range(n + 1):
-        if (j - n) & 1 == 0:
-            total += u[j >> 1] * (u[j >> 1] // below)
-        if j == n or not b[j]:
-            break
-        below *= b[j]
-    return total
+        if s & 1:
+            down = list(map(mul, even, v))
+            v = down[:1] + list(map(add, v, down[1:])) + v[-1:]
+        else:
+            v = list(map(add, v, map(mul, odd, v[1:]))) + v[-1:]
+        del v[keep[(s + 1) & 1]:]
+    lo = n & 1
+    total = v[-1] * v[-1] if v else 0
+    for i in range(len(v) - 2, -1, -1):
+        j = lo + 2 * i
+        total = total * (b[j] * b[j + 1]) + v[i] * v[i]
+    return total * b[0] if lo else total
+
+
+def _capped(b: list, height: int) -> tuple[list, int]:
+    """Cut the weights at the first zero, below `height`, and pad one 0 on top.
+
+    A path above the first zero weight b_z took an up-step off level z, so
+    it weighs 0, and a down-step onto level z weighs b_z = 0 in V: the DP
+    may stop at height min(z, height), where the pad ends the top cell.
+    """
+    if 0 in b:
+        height = b.index(0)
+        del b[height:]
+    b.append(0)
+    return b, height
 
 
 def _dyck_dp(bvals, n_max: int, modulus: int | None, height: int) -> list[int]:
     """The Dyck-path DP over heights 0..height, exact or mod `modulus`.
 
-    The state after s steps is the vector of total path-prefix weights by
-    height; an up-step from height k multiplies by bvals[k], a down-step
-    by 1.  Entry n of the output is the total weight of the paths back at
-    height 0 after 2n steps.  The exact and residue inner loops are kept
-    apart: one shared loop made small-height period jobs 70% slower.
+    The state after s steps is the vector V_s(0..height) of normalized path
+    weights (see the module docstring): an up-step weighs 1 and a down-step
+    onto level k weighs bvals[k].  Entry n of the output is V_2n(0) =
+    U_2n(0), the total weight of the paths back at height 0 after 2n steps.
+    The exact and residue inner loops are kept apart: one shared loop made
+    small-height period jobs 70% slower.
     """
     if modulus is None:
         b = list(bvals[:height])
     else:
         b = [v % modulus for v in bvals[:height]]
+    b, height = _capped(b, height)
 
     out = [0] * (n_max + 1)
     out[0] = 1
-    size = height + 3
-    prev = [0] * size
-    cur = [0] * size
+    prev = [0] * (height + 2)
+    cur = [0] * (height + 2)
     prev[0] = 1
     for s in range(1, 2 * n_max + 1):
         hi = min(s, 2 * n_max - s, height)
         lo = s & 1
         if modulus is None:
             for j in range(lo, hi + 1, 2):
-                v = prev[j + 1]
+                v = b[j] * prev[j + 1]
                 if j:
-                    v += prev[j - 1] * b[j - 1]
+                    v += prev[j - 1]
                 cur[j] = v
         else:
             for j in range(lo, hi + 1, 2):
-                v = prev[j + 1]
+                v = b[j] * prev[j + 1]
                 if j:
-                    v += prev[j - 1] * b[j - 1]
+                    v += prev[j - 1]
                 cur[j] = v % modulus
-        if hi + 2 < size:
-            cur[hi + 2] = 0
         prev, cur = cur, prev
         if lo == 0:
             out[s >> 1] = prev[0]
