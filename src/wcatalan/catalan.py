@@ -49,29 +49,11 @@ def weighted_catalan_series(
 
 
 def weighted_catalan(b: WeightFunction, n: int, shift: int = 0, modulus: int | None = None) -> int:
-    """Weighted Catalan number of semilength n: exact, or reduced mod `modulus`.
-
-    A residue counts only the paths at or below height k, for the least k
-    with m | b_0 ... b_k: a path above it takes an up-step from every level
-    0..k, so its weight vanishes mod m.
-    """
+    """Weighted Catalan number of semilength n: exact, or reduced mod `modulus`."""
     bvals = b.values(shift, n)
     if modulus is None:
         return kernel.dyck_value_exact(bvals, n)
-    return kernel.dyck_dp_mod(bvals, n, modulus, _vanishing_height(bvals, modulus))[n]
-
-
-def _vanishing_height(bvals: list[int], modulus: int) -> int | None:
-    """Least k with `modulus` dividing bvals[0] ... bvals[k], or None.
-
-    None also for a modulus below 2, which the kernel reports.
-    """
-    prod = 1
-    for k, v in enumerate(bvals if modulus >= 2 else ()):
-        prod = prod * v % modulus
-        if not prod:
-            return k
-    return None
+    return kernel.dyck_dp_mod(bvals, n, modulus)[n]
 
 
 def _convolve(a: list[int], b: list[int], size: int) -> list[int]:

@@ -22,13 +22,18 @@ Both DPs run on normalized path weights.  Let U_s(j) be the total weight
 of the s-step paths from height 0 to height j, and B_j = b_0 ... b_(j-1).
 Every such path takes an up-step off each level below j, so U_s(j) =
 B_j V_s(j), where V_s(j) weighs each up-step 1 and each down-step from
-j + 1 to j by b_j: moving a level's weight from its up-step to the
+k + 1 to k by b_k: moving a level's weight from its up-step to the
 down-step back onto it leaves every closed path's weight unchanged
 (Flajolet 1980).  V follows V_(s+1)(j) = V_s(j - 1) + b_j V_s(j + 1) with
 no division, and its entries are smaller than U's by the factor B_j, so
-the big-int work per cell shrinks while the cells stay the same.  Paths
-above the first zero weight b_z never come back down past it, so both
-DPs stop at height z (mod m: the first zero residue).
+the big-int work per cell shrinks while the cells stay the same.
+
+Every engine stops at the vanishing height: the least k with B_(k+1) = 0,
+that is, the first zero weight, or mod m the least k with m | B_(k+1).  A
+path above it took an up-step off every level 0..k, so it weighs 0 (mod m).
+On U the DP got this for free, as cells that stayed 0 above k; on V those
+cells are not 0 (mod m), so without the cap the residue DP did more work
+than on U on p^K ladders.
 """
 
 from __future__ import annotations
@@ -75,9 +80,27 @@ def _series_wins(n_max: int, modulus: int, height: int) -> bool:
     return height >= SERIES_MIN_HEIGHT and n_max * _WORD_BITS**2 >= SERIES_MIN_TERMS * width**2
 
 
+def _vanishing_height(bvals, height: int, modulus: int | None = None) -> int:
+    """min(height, the least k with b_0 ... b_k = 0, or = 0 mod `modulus`).
+
+    A path above height k took an up-step off every level 0..k, so its
+    weight vanishes (mod m), and both engines may stop at height k.
+    Exactly, that k is the first zero weight.
+    """
+    if modulus is None:
+        b = bvals[:height]
+        return b.index(0) if 0 in b else height
+    prod = 1
+    for k in range(height):
+        prod = prod * bvals[k] % modulus
+        if not prod:
+            return k
+    return height
+
+
 def dyck_dp_mod(bvals, n_max: int, modulus: int, height_cap: int | None = None) -> list[int]:
     """Weighted Catalan residues mod `modulus` for n = 0..n_max."""
-    height = _check_args(bvals, n_max, modulus, height_cap)
+    height = _vanishing_height(bvals, _check_args(bvals, n_max, modulus, height_cap), modulus)
     if _series_wins(n_max, modulus, height):
         return series.dyck_series_mod(bvals, n_max, modulus, height)
     return _dyck_dp(bvals, n_max, modulus, height)
@@ -85,25 +108,29 @@ def dyck_dp_mod(bvals, n_max: int, modulus: int, height_cap: int | None = None) 
 
 def dyck_dp_exact(bvals, n_max: int, height_cap: int | None = None) -> list[int]:
     """Exact weighted Catalan numbers for n = 0..n_max."""
-    return _dyck_dp(bvals, n_max, None, _check_args(bvals, n_max, None, height_cap))
+    height = _vanishing_height(bvals, _check_args(bvals, n_max, None, height_cap))
+    return _dyck_dp(bvals, n_max, None, height)
 
 
 def dyck_value_exact(bvals, n: int) -> int:
     """Exact C_n^b alone, from the first n steps of the Dyck DP.
 
-    After n steps, V(j) = U(j) / B_j weighs the paths from height 0 to j,
-    and its reverse weighs the paths from j back down to 0.  Splitting every
-    Dyck path at its midpoint gives C_n^b = sum_j U(j) V(j) = sum_j B_j V(j)^2
-    over j = n (mod 2), which Horner's rule sums from the top, since
-    B_(j+2) = B_j b_j b_(j+1).  Heights above the first zero weight add 0.
+    After n steps, U(j) = B_j V(j) weighs the paths from height 0 to j.
+    Reversing a path from j back down to 0 turns its weighted up-steps into
+    V's weighted down-steps, so those paths weigh V(j) in all.  Splitting
+    every Dyck path at its midpoint gives C_n^b = sum_j U(j) V(j) =
+    sum_j B_j V(j)^2 over j = n (mod 2), which Horner's rule sums from the
+    top, since B_(j+2) = B_j b_j b_(j+1).  Heights above the first zero
+    weight add 0.
     """
-    _check_args(bvals, n, None, None)
-    b, top = _capped(list(bvals[:n]), n)
+    top = _vanishing_height(bvals, _check_args(bvals, n, None, None))
+    b = list(bvals[:top]) + [0]
     even, odd = b[0::2], b[1::2]
     # entries at or below the top, for even and odd heights
     keep = (top // 2 + 1, (top + 1) // 2)
-    # v[i] = V(2i + (s & 1)) after s steps; a down-step from v[i + 1] lands
-    # on v[i] of the next step at odd s + 1, and from v[i] on v[i] at even s + 1
+    # v[i] = V(2i + (s & 1)) after s steps; a down-step (weighted odd[i] or
+    # even[i]) from v[i + 1] lands on v[i] of the next step at odd s + 1,
+    # and from v[i] on v[i] at even s + 1
     v = [1]
     for s in range(n):
         if s & 1:
@@ -120,35 +147,21 @@ def dyck_value_exact(bvals, n: int) -> int:
     return total * b[0] if lo else total
 
 
-def _capped(b: list, height: int) -> tuple[list, int]:
-    """Cut the weights at the first zero, below `height`, and pad one 0 on top.
-
-    A path above the first zero weight b_z took an up-step off level z, so
-    it weighs 0, and a down-step onto level z weighs b_z = 0 in V: the DP
-    may stop at height min(z, height), where the pad ends the top cell.
-    """
-    if 0 in b:
-        height = b.index(0)
-        del b[height:]
-    b.append(0)
-    return b, height
-
-
 def _dyck_dp(bvals, n_max: int, modulus: int | None, height: int) -> list[int]:
     """The Dyck-path DP over heights 0..height, exact or mod `modulus`.
 
     The state after s steps is the vector V_s(0..height) of normalized path
     weights (see the module docstring): an up-step weighs 1 and a down-step
-    onto level k weighs bvals[k].  Entry n of the output is V_2n(0) =
-    U_2n(0), the total weight of the paths back at height 0 after 2n steps.
-    The exact and residue inner loops are kept apart: one shared loop made
+    onto level k weighs bvals[k], and the 0 padded on top keeps the paths at
+    or below the height.  Entry n of the output is V_2n(0) = U_2n(0), the
+    total weight of the paths back at height 0 after 2n steps.  The exact
+    and residue inner loops are kept apart: one shared loop made
     small-height period jobs 70% slower.
     """
     if modulus is None:
-        b = list(bvals[:height])
+        b = list(bvals[:height]) + [0]
     else:
-        b = [v % modulus for v in bvals[:height]]
-    b, height = _capped(b, height)
+        b = [v % modulus for v in bvals[:height]] + [0]
 
     out = [0] * (n_max + 1)
     out[0] = 1

@@ -168,18 +168,18 @@ class TestModular:
             (MORSE, 7, 3),
         ]
         # 1 + 2x + 4x^2 is always odd
-        assert catalan._vanishing_height(WeightFunction.polynomial([1, 2, 4]).values(0, 80), 4) is None
+        assert catalan.kernel._vanishing_height(WeightFunction.polynomial([1, 2, 4]).values(0, 80), 80, 4) == 80
         for b, m, k in cases:
-            assert catalan._vanishing_height(b.values(0, 80), m) == k
+            assert catalan.kernel._vanishing_height(b.values(0, 80), 80, m) == k
             expected = [v % m for v in weighted_catalan_series(b, 80)]
-            caps = []
-            real = catalan.kernel.dyck_dp_mod
+            heights = []
+            real = catalan.kernel._dyck_dp
             monkeypatch.setattr(
-                catalan.kernel, "dyck_dp_mod",
-                lambda bv, n, mod, cap=None: caps.append(cap) or real(bv, n, mod, cap),
+                catalan.kernel, "_dyck_dp",
+                lambda bv, n, mod, h: heights.append(h) or real(bv, n, mod, h),
             )
             assert [weighted_catalan(b, n, modulus=m) for n in range(81)] == expected
-            assert caps == [None] * min(k + 1, 81) + [k] * (80 - k)
+            assert heights == [min(n, k) for n in range(81)]
             monkeypatch.undo()
 
     def test_single_residue_reports_a_small_modulus(self):

@@ -5,7 +5,7 @@ normalized weights V(j) = U(j) / (b(0)...b(j-1)), so comparing them with
 each other checks neither.  Here they meet independent references:
 enumeration of the Dyck paths themselves (n <= 9), the exact power series
 of the continued fraction P/Q (n <= 60), and closed forms.  The residue DP
-is checked against the exact values when a zero residue caps its height.
+is checked against the exact values when m | b(0)...b(z) caps its height.
 """
 
 import math
@@ -112,10 +112,12 @@ def test_unit_weight_gives_catalan_numbers():
 
 
 @st.composite
-def zero_residue_cases(draw):
-    """DP-side arguments whose weights have a first zero residue at z."""
+def vanishing_cases(draw):
+    """DP-side arguments where m divides b(0)...b(z): b(z) is a zero residue,
+    or m = a c with a | b(z - 1) and c | b(z)."""
     z = draw(st.sampled_from([0, 1, 5]))
-    m = draw(st.one_of(st.integers(2, 97), st.integers(2, 2**62), st.integers(2**63, 2**130)))
+    a, c = draw(st.integers(2, 10**6)), draw(st.integers(1, 10**6))
+    m = a * c
     if draw(st.booleans()):
         n = draw(st.integers(z, kernel.SERIES_MIN_TERMS - 1))
         cap = draw(st.one_of(st.none(), st.integers(0, n + 1)))
@@ -124,14 +126,17 @@ def zero_residue_cases(draw):
         cap = draw(st.integers(0, kernel.SERIES_MIN_HEIGHT - 1))
     units = st.integers(-(10**6), 10**6).filter(lambda v: v % m)
     bvals = draw(st.lists(units, min_size=n + 1, max_size=n + 1))
-    # a nonzero multiple of m: the exact values still count paths above z
-    bvals[z] = m * draw(st.sampled_from([1, -1, 3]))
+    # nonzero multiples: the exact values still count the paths above z
+    if z and c > 1 and draw(st.booleans()):
+        bvals[z - 1], bvals[z] = a * draw(units), c * draw(units)
+    else:
+        bvals[z] = m * draw(st.sampled_from([1, -1, 3]))
     return bvals, n, m, cap
 
 
-@given(zero_residue_cases())
+@given(vanishing_cases())
 @settings(max_examples=60, deadline=None)
-def test_residue_dp_caps_at_the_first_zero_residue(case):
+def test_residue_dp_caps_at_the_vanishing_height(case):
     bvals, n, m, cap = case
     assert not kernel._series_wins(n, m, kernel._check_args(bvals, n, m, cap))
     exact = kernel.dyck_dp_exact(bvals, n, cap)

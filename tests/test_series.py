@@ -4,7 +4,9 @@
 switch in front of both must return the same residues for every weight,
 modulus and height cap, and the kernel's one argument check must raise the
 same errors on either side of the crossover.  The half-length exact value
-`kernel.dyck_value_exact` must equal the last entry of the exact DP.
+`kernel.dyck_value_exact` must equal the last entry of the exact DP; both
+run on the same normalized weights, so `test_kernel.py` checks each of them
+against references that share nothing with the DP.
 """
 
 import pytest
