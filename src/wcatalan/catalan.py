@@ -53,7 +53,10 @@ def weighted_catalan(b: WeightFunction, n: int, shift: int = 0, modulus: int | N
     bvals = b.values(shift, n)
     if modulus is None:
         return kernel.dyck_value_exact(bvals, n)
-    return kernel.dyck_dp_mod(bvals, n, modulus)[n]
+    # The kernel finds this cap itself; passing it makes the call's arguments
+    # show the heights it runs.
+    cap = kernel.vanishing_height(bvals, modulus) if modulus >= 2 else None
+    return kernel.dyck_dp_mod(bvals, n, modulus, cap)[n]
 
 
 def _convolve(a: list[int], b: list[int], size: int) -> list[int]:

@@ -31,9 +31,9 @@ the big-int work per cell shrinks while the cells stay the same.
 Every engine stops at the vanishing height: the least k with B_(k+1) = 0,
 that is, the first zero weight, or mod m the least k with m | B_(k+1).  A
 path above it took an up-step off every level 0..k, so it weighs 0 (mod m).
-On U the DP got this for free, as cells that stayed 0 above k; on V those
-cells are not 0 (mod m), so without the cap the residue DP did more work
-than on U on p^K ladders.
+The cells of U above k are 0 (mod m), but those of V need not be, so on V
+the cap is what keeps the residue DP from doing work that vanishes, as on
+the p^K ladders of the valuation profiles.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ _WORD_BITS = 64
 
 
 def _check_args(bvals, n_max: int, modulus: int | None, height_cap: int | None) -> int:
-    """Check the arguments; return the height limit min(height_cap, n_max)."""
+    """Check the arguments; return the height limit, min(height_cap, n_max)
+    or the vanishing height below it."""
     if n_max < 0:
         raise DomainError("semilength must be nonnegative")
     if modulus is not None and modulus < 2:
@@ -72,7 +73,25 @@ def _check_args(bvals, n_max: int, modulus: int | None, height_cap: int | None) 
         raise DomainError(
             f"need {height} weight values (heights 0..{height - 1}), got {len(bvals)}"
         )
-    return height
+    k = vanishing_height(bvals[:height], modulus)
+    return height if k is None else k
+
+
+def vanishing_height(bvals, modulus: int | None = None) -> int | None:
+    """Least k with b_0 ... b_k = 0, or = 0 mod `modulus` (at least 2); else None.
+
+    A path above height k took an up-step off every level 0..k, so its
+    weight vanishes (mod m), and the engines stop at height k.  Exactly,
+    k is the first zero weight.
+    """
+    if modulus is None:
+        return bvals.index(0) if 0 in bvals else None
+    prod = 1
+    for k, v in enumerate(bvals):
+        prod = prod * v % modulus
+        if not prod:
+            return k
+    return None
 
 
 def _series_wins(n_max: int, modulus: int, height: int) -> bool:
@@ -80,27 +99,9 @@ def _series_wins(n_max: int, modulus: int, height: int) -> bool:
     return height >= SERIES_MIN_HEIGHT and n_max * _WORD_BITS**2 >= SERIES_MIN_TERMS * width**2
 
 
-def _vanishing_height(bvals, height: int, modulus: int | None = None) -> int:
-    """min(height, the least k with b_0 ... b_k = 0, or = 0 mod `modulus`).
-
-    A path above height k took an up-step off every level 0..k, so its
-    weight vanishes (mod m), and both engines may stop at height k.
-    Exactly, that k is the first zero weight.
-    """
-    if modulus is None:
-        b = bvals[:height]
-        return b.index(0) if 0 in b else height
-    prod = 1
-    for k in range(height):
-        prod = prod * bvals[k] % modulus
-        if not prod:
-            return k
-    return height
-
-
 def dyck_dp_mod(bvals, n_max: int, modulus: int, height_cap: int | None = None) -> list[int]:
     """Weighted Catalan residues mod `modulus` for n = 0..n_max."""
-    height = _vanishing_height(bvals, _check_args(bvals, n_max, modulus, height_cap), modulus)
+    height = _check_args(bvals, n_max, modulus, height_cap)
     if _series_wins(n_max, modulus, height):
         return series.dyck_series_mod(bvals, n_max, modulus, height)
     return _dyck_dp(bvals, n_max, modulus, height)
@@ -108,8 +109,7 @@ def dyck_dp_mod(bvals, n_max: int, modulus: int, height_cap: int | None = None) 
 
 def dyck_dp_exact(bvals, n_max: int, height_cap: int | None = None) -> list[int]:
     """Exact weighted Catalan numbers for n = 0..n_max."""
-    height = _vanishing_height(bvals, _check_args(bvals, n_max, None, height_cap))
-    return _dyck_dp(bvals, n_max, None, height)
+    return _dyck_dp(bvals, n_max, None, _check_args(bvals, n_max, None, height_cap))
 
 
 def dyck_value_exact(bvals, n: int) -> int:
@@ -123,7 +123,7 @@ def dyck_value_exact(bvals, n: int) -> int:
     top, since B_(j+2) = B_j b_j b_(j+1).  Heights above the first zero
     weight add 0.
     """
-    top = _vanishing_height(bvals, _check_args(bvals, n, None, None))
+    top = _check_args(bvals, n, None, None)
     b = list(bvals[:top]) + [0]
     even, odd = b[0::2], b[1::2]
     # entries at or below the top, for even and odd heights

@@ -168,18 +168,18 @@ class TestModular:
             (MORSE, 7, 3),
         ]
         # 1 + 2x + 4x^2 is always odd
-        assert catalan.kernel._vanishing_height(WeightFunction.polynomial([1, 2, 4]).values(0, 80), 80, 4) == 80
+        assert catalan.kernel.vanishing_height(WeightFunction.polynomial([1, 2, 4]).values(0, 80), 4) is None
         for b, m, k in cases:
-            assert catalan.kernel._vanishing_height(b.values(0, 80), 80, m) == k
+            assert catalan.kernel.vanishing_height(b.values(0, 80), m) == k
             expected = [v % m for v in weighted_catalan_series(b, 80)]
-            heights = []
-            real = catalan.kernel._dyck_dp
+            caps = []
+            real = catalan.kernel.dyck_dp_mod
             monkeypatch.setattr(
-                catalan.kernel, "_dyck_dp",
-                lambda bv, n, mod, h: heights.append(h) or real(bv, n, mod, h),
+                catalan.kernel, "dyck_dp_mod",
+                lambda bv, n, mod, cap=None: caps.append(cap) or real(bv, n, mod, cap),
             )
             assert [weighted_catalan(b, n, modulus=m) for n in range(81)] == expected
-            assert heights == [min(n, k) for n in range(81)]
+            assert caps == [None] * min(k + 1, 81) + [k] * (80 - k)
             monkeypatch.undo()
 
     def test_single_residue_reports_a_small_modulus(self):

@@ -13,7 +13,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcatalan import kernel
+from wcatalan import kernel, series
 from wcatalan.arith import series_divide_exact
 from wcatalan.periodicity import continued_fraction_pq
 from wcatalan.weights import WeightFunction
@@ -141,3 +141,22 @@ def test_residue_dp_caps_at_the_vanishing_height(case):
     assert not kernel._series_wins(n, m, kernel._check_args(bvals, n, m, cap))
     exact = kernel.dyck_dp_exact(bvals, n, cap)
     assert kernel.dyck_dp_mod(bvals, n, m, cap) == [v % m for v in exact]
+
+
+def test_engines_stop_at_the_vanishing_height(monkeypatch):
+    """With no cap from the caller, the kernel lowers the height to the least
+    k with m | b(0)...b(k) (exactly: the first zero weight) for either engine."""
+    heights = []
+    for module, name in ((kernel, "_dyck_dp"), (series, "dyck_series_mod")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda bv, n, m, h, real=real: heights.append(h) or real(bv, n, m, h)
+        )
+    morse = WeightFunction.preset("morse").values(0, 300)
+    m = 3**40
+    k = next(k for k in range(300) if math.prod(morse[: k + 1]) % m == 0)
+    assert kernel._series_wins(300, m, k)
+    kernel.dyck_dp_mod(morse, 60, 7)  # 7 | b(0)...b(3)
+    kernel.dyck_dp_mod(morse, 300, m)
+    kernel.dyck_dp_exact([2, 3, 0, 5], 4)
+    assert heights == [3, k, 2]
