@@ -24,6 +24,12 @@ __all__ = [
 ]
 
 
+# Valuations up to this many are found one division at a time, which is
+# cheapest for the small valuations most calls see; deeper ones switch to
+# the squaring ladder.
+_PLAIN_STEPS = 4
+
+
 def valuation(q: int, n: int) -> int:
     """Largest m such that q**m divides n.  The sign of n is ignored."""
     if q < 2:
@@ -37,6 +43,26 @@ def valuation(q: int, n: int) -> int:
     while n % q == 0:
         n //= q
         m += 1
+        if m == _PLAIN_STEPS:
+            return m + _ladder_valuation(q, n)
+    return m
+
+
+def _ladder_valuation(q: int, n: int) -> int:
+    """Largest m with q^m | n > 0, in O(log m) divisions.
+
+    Climb q, q^2, q^4, ... while they divide n, then divide by each rung on
+    the way down when it still divides: the rungs taken are the binary
+    digits of m.
+    """
+    rungs = [q]
+    while n % (rungs[-1] * rungs[-1]) == 0:
+        rungs.append(rungs[-1] * rungs[-1])
+    m = 0
+    for k in range(len(rungs) - 1, -1, -1):
+        quotient, rest = divmod(n, rungs[k])
+        if not rest:
+            n, m = quotient, m + (1 << k)
     return m
 
 

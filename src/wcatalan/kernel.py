@@ -8,11 +8,13 @@ engines behind them trust their input.
 
 Residues mod m come from one of two pure-Python engines:
 
-1. the S-fraction product tree in `series`, when the height limit, the
-   number of terms and the modulus size all sit on its side of the measured
-   crossover below;
-2. otherwise the Dyck DP in this module, whose O(n h) cost wins for small
-   heights and for moduli far above word size.
+1. the S-fraction product tree in `series`, from 128 terms on at every
+   height for a modulus below 2^30, and for wider moduli when the height
+   limit, the number of terms and the modulus size all sit on its side of
+   the measured crossover below;
+2. otherwise the Dyck DP in this module, whose O(n h) cost wins for few
+   terms, for small heights under a modulus of 31 bits or more, and for
+   moduli far above word size.
 
 Exact values come from the Dyck DP, which is also the reference the tree
 is tested against: the whole 2n-step DP for a series, and its first n
@@ -47,17 +49,24 @@ from .errors import DomainError
 BACKEND = "pure"
 
 # Crossover between the Dyck DP and the S-fraction engine, from timing both
-# on the Morse weight at moduli of 4 to 1952 bits (Python 3.11, 2-core
-# x86-64 VM).  The DP costs about n*h cells, each linear in the modulus
-# width; the tree costs a few Karatsuba products of n coefficients, each
-# slot twice the modulus width.  For moduli up to 64 bits the tree wins from
-# height 16 and 128 terms on (at n = h = 2048, 0.11 s against 0.65 s).
-# Wider moduli move the break-even number of terms up with about the square
-# of the width: n = 512 wins and n = 256 loses at 122 bits, n = 2048 wins
-# and n = 1024 loses at 244 bits, and at 976 bits the tree is 6x slower at
-# n = 1024.
+# on random and on Morse weights at moduli of 4 to 863 bits (Python 3.11,
+# 2-core x86-64 VM).  The DP costs about n*h cells, each linear in the
+# modulus width; the tree costs a few Karatsuba products of n coefficients,
+# each slot twice the modulus width, and one `%` per slot.  A modulus below
+# 2^30 is one CPython digit, whose `%` takes a fast path, and there the tree
+# wins at every height from 128 terms on: for h = 1-8 at 4-30 bits, DP/tree
+# time is 1.1-2.0 at n = 128, 2.5-6.4 at n = 1024, 3.4-6.2 at n = 4096 and
+# 3.9-7.7 at n = 10000.  At 31-33 bits it is 0.66-1.13 for h = 1-2 at
+# n = 128, and at 61-64 bits the tree loses for h <= 4 (0.61-0.88 at
+# n = 128).  So wider moduli keep a height floor: up to 64 bits the tree
+# wins from height 16 and 128 terms on (h = 15: 1.6-2.9 at n = 128-1024).
+# Beyond that the break-even number of terms grows with about the square of
+# the width: with the Morse weight at h = 16, 0.88 at 122 bits and n = 128,
+# 1.3 at n = 400; 0.68 at 216 bits and n = 1024, below the 1458 terms the
+# rule asks for there.
 SERIES_MIN_HEIGHT = 16
 SERIES_MIN_TERMS = 128
+SERIES_NARROW_BITS = 30
 _WORD_BITS = 64
 
 
@@ -95,7 +104,10 @@ def vanishing_height(bvals, modulus: int | None = None) -> int | None:
 
 
 def _series_wins(n_max: int, modulus: int, height: int) -> bool:
-    width = max(modulus.bit_length(), _WORD_BITS)
+    bits = modulus.bit_length()
+    if bits <= SERIES_NARROW_BITS:
+        return n_max >= SERIES_MIN_TERMS
+    width = max(bits, _WORD_BITS)
     return height >= SERIES_MIN_HEIGHT and n_max * _WORD_BITS**2 >= SERIES_MIN_TERMS * width**2
 
 

@@ -9,6 +9,7 @@ state consistency over a window, never truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import catalan, periodicity, series
@@ -90,11 +91,17 @@ def _first_exponent(p: int, n_max: int) -> int:
 
 
 def _last_exponent(p: int) -> int:
-    """Largest K with p^K <= 2^2048, the ladder's depth cap."""
-    k, power = 0, p
-    while power <= 1 << _RESIDUE_BITS_MAX:
+    """Largest K with p^K <= 2^2048, the ladder's depth cap.
+
+    2048 / log2(p) in floating point is off by far less than one, so one
+    check on each side corrects it.
+    """
+    limit = 1 << _RESIDUE_BITS_MAX
+    k = int(_RESIDUE_BITS_MAX / math.log2(p))
+    if p ** (k + 1) <= limit:
         k += 1
-        power *= p
+    if k and p**k > limit:
+        k -= 1
     return k
 
 

@@ -19,20 +19,28 @@ or below height h.  Level k is the Moebius step y -> 1 / (1 - b_k x y),
 with matrix M_k = [[0, 1], [-b_k x, 1]]; so with M_0 M_1 ... M_{h-1} =
 [[A, B], [C, D]] the truncated fraction is (A + B) / (C + D).  A balanced
 product tree forms that product, and a Newton inverse (Sieveking 1972,
-Kung 1974) divides, in O(M(n) log h) for polynomial multiplication time
-M(n), against O(n h) for the Dyck DP in `kernel`.
+Kung 1974) to half the order with one correction step (Karp and Markstein
+1997) divides, in O(M(n) log h) for polynomial multiplication time M(n),
+against O(n h) for the Dyck DP in `kernel`.
+
+The leaves of the tree, blocks of up to 32 levels, are multiplied out on
+packed ints with no reduction: with steps in [0, m), x is a shift by one
+slot and each level costs four big-int operations.  Their slots are wide
+enough for the exact block, and each block is reduced once, when it is
+unpacked; above the leaves every product is reduced.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from itertools import zip_longest
 
 __all__ = ["fits_word", "mul_mod", "inverse_mod", "dyck_series_mod"]
 
 # Blocks of at most this many S-fraction levels are multiplied out one level
-# at a time; above it, halves are combined by Kronecker products.
-_LEAF_LEVELS = 16
+# at a time, exactly; above it, halves are combined by Kronecker products.
+_LEAF_LEVELS = 32
 
 
 # Bytes of the widest slot packed through `array`, and the unsigned typecode
@@ -51,10 +59,29 @@ def fits_word(modulus: int, terms: int) -> bool:
     return _slot_bits(modulus, terms) <= 8 * _WORD_BYTES
 
 
-def _slot_bytes(modulus: int, terms: int) -> int:
-    """Slot width in bytes: 1, 2, 4 or 8 while it fits one word, else exact."""
-    width = (_slot_bits(modulus, terms) + 7) // 8
+def _round_slot(bits: int) -> int:
+    """Slot width in bytes for `bits`: 1, 2, 4 or 8 while it fits one word, else exact."""
+    width = (bits + 7) // 8
     return width if width > _WORD_BYTES else 1 << (width - 1).bit_length()
+
+
+def _slot_bytes(modulus: int, terms: int) -> int:
+    """Slot width in bytes for a sum of two products of `terms`-term polynomials."""
+    return _round_slot(_slot_bits(modulus, terms))
+
+
+def _leaf_bytes(modulus: int, levels: int) -> int:
+    """Slot width in bytes for a leaf block of `levels` levels multiplied out exactly.
+
+    Over steps in [0, m), the coefficient of x^k in any entry of the block
+    sums at most 2^levels products of k <= ceil(levels / 2) steps.
+    """
+    return _round_slot(levels + (levels + 1) // 2 * (modulus - 1).bit_length())
+
+
+def _unpack_all(packed: int, width: int, modulus: int) -> list[int]:
+    """Every slot of `packed`, reduced mod `modulus`, trailing zeros dropped."""
+    return _unpack(packed, width, -(-packed.bit_length() // (8 * width)), modulus)
 
 
 def _pack(coeffs: list[int], width: int) -> int:
@@ -118,39 +145,18 @@ def inverse_mod(f: list[int], modulus: int, order: int) -> list[int]:
     return g + [0] * (order - len(g))
 
 
-def _add(f: list[int], g: list[int], modulus: int) -> list[int]:
-    if len(f) < len(g):
-        f, g = g, f
-    out = f[:]
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % modulus
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _shift_scale(c: int, f: list[int], modulus: int) -> list[int]:
-    """c x f(x) over Z/mZ."""
-    if not c or not f:
-        return []
-    out = [0] + [c * v % modulus for v in f]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 def _matrix(steps: list[int], lo: int, hi: int, modulus: int):
     """M_lo M_(lo+1) ... M_(hi-1) as (A, B, C, D), with M_k = [[0, 1], [steps[k] x, 1]]."""
     if hi - lo <= _LEAF_LEVELS:
-        a, b, c, d = [], [1], _shift_scale(steps[lo], [1], modulus), [1]
-        for k in range(lo + 1, hi):
-            s = steps[k]
+        width = _leaf_bytes(modulus, hi - lo)
+        shift = 8 * width
+        # exact packed entries: x is a shift by one slot, and nothing is
+        # reduced until the block is unpacked
+        a, b, c, d = 0, 1, steps[lo] << shift, 1
+        for s in steps[lo + 1 : hi]:
             # [[a, b], [c, d]] [[0, 1], [s x, 1]] = [[s x b, a + b], [s x d, c + d]]
-            a, b, c, d = (
-                _shift_scale(s, b, modulus), _add(a, b, modulus),
-                _shift_scale(s, d, modulus), _add(c, d, modulus),
-            )
-        return a, b, c, d
+            a, b, c, d = (s * b) << shift, a + b, (s * d) << shift, c + d
+        return tuple(_unpack_all(p, width, modulus) for p in (a, b, c, d))
     mid = (lo + hi) // 2
     a1, b1, c1, d1 = _matrix(steps, lo, mid, modulus)
     a2, b2, c2, d2 = _matrix(steps, mid, hi, modulus)
@@ -177,10 +183,12 @@ def _fraction(steps: list[int], lo: int, hi: int, modulus: int):
     vector, which is the bottom-up continued fraction y -> (v, v + s x u).
     """
     if hi - lo <= _LEAF_LEVELS:
-        u, v = [1], [1]
-        for k in range(hi - 1, lo - 1, -1):
-            u, v = v, _add(v, _shift_scale(steps[k], u, modulus), modulus)
-        return u, v
+        width = _leaf_bytes(modulus, hi - lo)
+        shift = 8 * width
+        u, v = 1, 1
+        for s in reversed(steps[lo:hi]):
+            u, v = v, v + ((s * u) << shift)
+        return _unpack_all(u, width, modulus), _unpack_all(v, width, modulus)
     mid = (lo + hi) // 2
     a, b, c, d = _matrix(steps, lo, mid, modulus)
     u, v = _fraction(steps, mid, hi, modulus)
@@ -203,5 +211,20 @@ def dyck_series_mod(bvals, n_max: int, modulus: int, height: int) -> list[int]:
     """
     steps = [-v % modulus for v in bvals[:height]]
     numer, denom = _fraction(steps, 0, height, modulus)
-    out = mul_mod(numer, inverse_mod(denom, modulus, n_max + 1), modulus, n_max + 1)
-    return out + [0] * (n_max + 1 - len(out))
+    # One-step quotient (Karp and Markstein 1997): with g = 1/denom to half
+    # the order, q0 = numer g is right to half the order, and the remainder
+    # numer - denom q0, which starts at x^half, times g gives the rest.
+    order = n_max + 1
+    half = (order + 1) // 2
+    g = inverse_mod(denom, modulus, half)
+    q0 = mul_mod(numer[:half], g, modulus, half)
+    fit = mul_mod(denom[:order], q0, modulus, order)
+    rest = [
+        (c - f) % modulus
+        for c, f in zip_longest(numer[half:order], fit[half:], fillvalue=0)
+    ]
+    # for a short fraction the remainder is short: keep the slots narrow
+    while rest and not rest[-1]:
+        rest.pop()
+    q1 = mul_mod(g, rest, modulus, order - half)
+    return q0 + [0] * (half - len(q0)) + q1 + [0] * (order - half - len(q1))

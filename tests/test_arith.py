@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcatalan.arith import (
     IntPolynomial,
@@ -34,6 +36,24 @@ class TestValuation:
 
     def test_composite_base(self):
         assert valuation(6, 2 * 36) == 2
+
+    @given(
+        st.integers(3, 1000),
+        st.integers(0, 2000),
+        st.integers(1, 2**900),
+        st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_one_division_at_a_time(self, q, v, unit, sign):
+        """Deep valuations take the squaring ladder; it must agree with
+        dividing one factor of q at a time, for composite q too."""
+        unit = unit * q + 1 + unit % (q - 1)  # not a multiple of q
+        n = sign * unit * q**v
+        m, rest = 0, abs(n)
+        while rest % q == 0:
+            rest //= q
+            m += 1
+        assert valuation(q, n) == m == v
 
 
 class TestDigitSum:

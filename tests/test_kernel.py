@@ -112,18 +112,30 @@ def test_unit_weight_gives_catalan_numbers():
 
 
 @st.composite
-def vanishing_cases(draw):
-    """DP-side arguments where m divides b(0)...b(z): b(z) is a zero residue,
-    or m = a c with a | b(z - 1) and c | b(z)."""
+def vanishing_cases(draw, tree_side):
+    """Arguments where m divides b(0)...b(z): b(z) is a zero residue, or
+    m = a c with a | b(z - 1) and c | b(z).
+
+    DP side: fewer than SERIES_MIN_TERMS terms, or a modulus wider than
+    SERIES_NARROW_BITS under a cap below SERIES_MIN_HEIGHT.  Tree side: a
+    narrow modulus and at least SERIES_MIN_TERMS terms, at any cap.
+    """
     z = draw(st.sampled_from([0, 1, 5]))
-    a, c = draw(st.integers(2, 10**6)), draw(st.integers(1, 10**6))
-    m = a * c
-    if draw(st.booleans()):
+    narrow = 2 ** (kernel.SERIES_NARROW_BITS // 2)
+    if tree_side:
+        a, c = draw(st.integers(2, narrow - 1)), draw(st.integers(1, narrow - 1))
+        n = draw(st.integers(kernel.SERIES_MIN_TERMS, 2 * kernel.SERIES_MIN_TERMS))
+        cap = draw(st.one_of(st.none(), st.integers(0, n + 1)))
+    elif draw(st.booleans()):
+        a, c = draw(st.integers(2, 10**6)), draw(st.integers(1, 10**6))
         n = draw(st.integers(z, kernel.SERIES_MIN_TERMS - 1))
         cap = draw(st.one_of(st.none(), st.integers(0, n + 1)))
     else:
+        a = draw(st.integers(2, 10**6))
+        c = draw(st.integers(-(-(2**kernel.SERIES_NARROW_BITS) // a), 2**32))
         n = draw(st.integers(z, 2 * kernel.SERIES_MIN_TERMS))
         cap = draw(st.integers(0, kernel.SERIES_MIN_HEIGHT - 1))
+    m = a * c
     units = st.integers(-(10**6), 10**6).filter(lambda v: v % m)
     bvals = draw(st.lists(units, min_size=n + 1, max_size=n + 1))
     # nonzero multiples: the exact values still count the paths above z
@@ -134,11 +146,20 @@ def vanishing_cases(draw):
     return bvals, n, m, cap
 
 
-@given(vanishing_cases())
+@given(vanishing_cases(tree_side=False))
 @settings(max_examples=60, deadline=None)
 def test_residue_dp_caps_at_the_vanishing_height(case):
     bvals, n, m, cap = case
     assert not kernel._series_wins(n, m, kernel._check_args(bvals, n, m, cap))
+    exact = kernel.dyck_dp_exact(bvals, n, cap)
+    assert kernel.dyck_dp_mod(bvals, n, m, cap) == [v % m for v in exact]
+
+
+@given(vanishing_cases(tree_side=True))
+@settings(max_examples=30, deadline=None)
+def test_residue_tree_caps_at_the_vanishing_height(case):
+    bvals, n, m, cap = case
+    assert kernel._series_wins(n, m, kernel._check_args(bvals, n, m, cap))
     exact = kernel.dyck_dp_exact(bvals, n, cap)
     assert kernel.dyck_dp_mod(bvals, n, m, cap) == [v % m for v in exact]
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcatalan import kernel, series
-from wcatalan.arith import digit_sum, series_divide_exact, valuation
+from wcatalan.arith import digit_sum, is_prime, series_divide_exact, valuation
 from wcatalan.catalan import catalan_number, catalan_series, weighted_catalan_series
 from wcatalan.errors import DomainError
 from wcatalan.morse import (
@@ -11,6 +11,7 @@ from wcatalan.morse import (
     _certified_valuations,
     _expression_values,
     _fit_violations,
+    _last_exponent,
     conjecture_report,
     fit_padic_alpha,
     mod3r_period_check,
@@ -156,6 +157,20 @@ class TestCertificationLadder:
         for (_, lower), (top, upper) in zip(calls, calls[1:]):
             assert upper == lower**2
             assert got[top] >= valuation(p, lower)
+
+    def test_depth_cap_matches_the_multiplying_loop(self):
+        def by_loop(p):
+            k, power = 0, p
+            while power <= 2**2048:
+                k += 1
+                power *= p
+            return k
+
+        bases = [p for p in range(2, 10**4) if is_prime(p)] + [2**61 - 1]
+        # the cap itself, and bases just around powers of two
+        bases += [2**2048 - 1, 2**2048, 2**2048 + 1, 2**1024, 2**1024 + 1, 2**682, 2**683 - 1]
+        for p in bases:
+            assert _last_exponent(p) == by_loop(p), p
 
     def test_last_rung_stops_at_the_depth_cap(self, monkeypatch):
         # b = 3^25 makes xi_3(C_n^b) >= 25 n, past the cap 3^1292 from n = 52

@@ -89,6 +89,80 @@ def test_crossover_selects_each_engine():
     # wider moduli need more terms before the tree pays off
     assert not kernel._series_wins(4 * n - 1, 1 << 127, 4 * n - 1)
     assert kernel._series_wins(4 * n, 1 << 127, 4 * n)
+    # narrow moduli take the tree at every height once there are enough terms
+    narrow = (1 << kernel.SERIES_NARROW_BITS) - 1
+    for height in (0, 1, h - 1, h, n):
+        assert kernel._series_wins(n, narrow, height)
+        assert not kernel._series_wins(n - 1, narrow, height)
+    assert not kernel._series_wins(n, narrow + 2, h - 1)
+    assert kernel._series_wins(n, narrow + 2, h)
+
+
+@pytest.mark.parametrize(
+    "m", [2**kernel.SERIES_NARROW_BITS - 35, 2**kernel.SERIES_NARROW_BITS + 3]
+)
+@pytest.mark.parametrize("n", [kernel.SERIES_MIN_TERMS - 1, kernel.SERIES_MIN_TERMS])
+def test_kernel_matches_dp_around_the_narrow_cut(m, n):
+    """Both sides of the narrow-modulus rule at heights 0-3, where only that
+    rule can pick the tree."""
+    bvals = WeightFunction.preset("morse").values(0, n)
+    narrow = m.bit_length() == kernel.SERIES_NARROW_BITS
+    assert narrow or m.bit_length() == kernel.SERIES_NARROW_BITS + 1
+    for cap in range(4):
+        h = kernel._check_args(bvals, n, m, cap)
+        assert kernel._series_wins(n, m, h) == (narrow and n >= kernel.SERIES_MIN_TERMS)
+        assert kernel.dyck_dp_mod(bvals, n, m, cap) == kernel._dyck_dp(bvals, n, m, h)
+
+
+def _poly_add(f, g):
+    out = [0] * max(len(f), len(g))
+    for h in (f, g):
+        for i, c in enumerate(h):
+            out[i] += c
+    return out
+
+
+def _exact_block(steps):
+    """M_0 ... M_(L-1) over Z[x] as (A, B, C, D), coefficient lists."""
+    a, b, c, d = [], [1], [0, steps[0]], [1]
+    for s in steps[1:]:
+        # [[a, b], [c, d]] [[0, 1], [s x, 1]] = [[s x b, a + b], [s x d, c + d]]
+        sxb, sxd = [0] + [s * v for v in b], [0] + [s * v for v in d]
+        a, b, c, d = sxb, _poly_add(a, b), sxd, _poly_add(c, d)
+    return a, b, c, d
+
+
+def _reduced(f, m):
+    out = [c % m for c in f]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 2**26 - 5, 2**61 - 1, 2**130 + 3])
+def test_full_leaves_with_the_largest_steps_do_not_overflow(m):
+    """A leaf block is multiplied out exactly in packed slots; with every step
+    m - 1 its coefficients are the largest a slot must hold."""
+    levels = series._LEAF_LEVELS
+    for count in (levels, 2 * levels + 1):  # one full leaf; full leaves below a root
+        steps = [m - 1] * count
+        a, b, c, d = _exact_block(steps)
+        if count == levels:
+            assert max(a + b + c + d) < 1 << (8 * series._leaf_bytes(m, levels))
+            got = series._matrix(steps, 0, count, m)
+            assert got == tuple(_reduced(p, m) for p in (a, b, c, d))
+        got = series._fraction(steps, 0, count, m)
+        assert got == (_reduced(_poly_add(a, b), m), _reduced(_poly_add(c, d), m))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 30, 31, 32, 33, 126, 127, 128, 129])
+@pytest.mark.parametrize("m", [2, 7, 2**26 - 5, 2**61 - 1, 2**130 + 3])
+def test_quotient_at_small_orders_and_both_parities(n, m):
+    """The one-step quotient splits n + 1 terms at half = ceil((n + 1) / 2);
+    odd and even orders split unevenly and evenly."""
+    bvals = WeightFunction.polynomial([3, -5, 7]).values(0, n + 1)
+    for h in sorted({0, 1, 2, n // 2, n}):
+        assert series.dyck_series_mod(bvals, n, m, h) == kernel._dyck_dp(bvals, n, m, h), h
 
 
 @given(weights(4), MODULI, st.one_of(st.none(), st.integers(-2, 4)))
