@@ -91,7 +91,8 @@ def vanishing_height(bvals, modulus: int | None = None) -> int | None:
 
     A path above height k took an up-step off every level 0..k, so its
     weight vanishes (mod m), and the engines stop at height k.  Exactly,
-    k is the first zero weight.
+    k is the first zero weight.  With a modulus, `bvals` may be any
+    iterable, read no further than k.
     """
     if modulus is None:
         return bvals.index(0) if 0 in bvals else None

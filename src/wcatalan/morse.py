@@ -9,10 +9,10 @@ state consistency over a window, never truth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import accumulate
 
-from . import catalan, periodicity, series
+from . import catalan, kernel, periodicity, series
 from .arith import digit_sum, is_prime, valuation
 from .errors import DomainError
 from .weights import WeightFunction
@@ -38,8 +38,6 @@ MORSE = WeightFunction.preset("morse")
 EXPRESSIONS = ("cb", "cb-c", "cb-1")
 
 _EXACT_PROFILE_MAX = 320
-_SMALL_EXACT = 8
-_RESIDUE_BITS_MAX = 2048
 
 
 def morse_weight(power: int = 1) -> WeightFunction:
@@ -90,19 +88,15 @@ def _first_exponent(p: int, n_max: int) -> int:
     return k
 
 
-def _last_exponent(p: int) -> int:
-    """Largest K with p^K <= 2^2048, the ladder's depth cap.
+def _value_bound(n: int, peak: int, minus: list[int] | None) -> int:
+    """A bound on |expression at n|, where `peak` is the largest |b(x)| over
+    the levels x a nonzero path of semilength n steps up from.
 
-    2048 / log2(p) in floating point is off by far less than one, so one
-    check on each side corrects it.
+    C_n^b sums C_n <= 4^n paths of weight at most peak^n, and 4 peak <
+    2^(bits(peak) + 2); the subtrahend, 1 or C_n, adds its own size.
     """
-    limit = 1 << _RESIDUE_BITS_MAX
-    k = int(_RESIDUE_BITS_MAX / math.log2(p))
-    if p ** (k + 1) <= limit:
-        k += 1
-    if k and p**k > limit:
-        k -= 1
-    return k
+    paths = 1 << n * (peak.bit_length() + 2) if peak or not n else 0
+    return paths + (minus[n] if minus else 0)
 
 
 def _certified_valuations(
@@ -110,54 +104,45 @@ def _certified_valuations(
 ) -> list[int | None]:
     """xi_p of the expression for n = 0..n_max; None marks an exact zero.
 
-    If b(0) = 0, every path of semilength n >= 1 starts with an up-step of
-    weight b(0), so C_n^b is 1 at n = 0 and 0 after, and the valuations
-    come from that closed form.  For cb-c, the rows n whose weights
-    b(0..n-1) are all 1 are exact zeros, since C_n^b = C_n there.
-    Otherwise small n are handled with exact integers, and larger n with
-    residues modulo p^K.  The first K is the largest whose Kronecker slots
-    fit one 64-bit word for this window; a nonzero residue pins the
-    valuation exactly, and K doubles, on a window cut at the last row still
-    zero, until every residue is nonzero.  The last step stops at the depth
-    cap, the largest p^K <= 2^2048, so a narrow first rung does not lower
-    the deepest rung.  Rows still zero there (exact zeros, or valuations
-    beyond it) are resolved from exact values.
+    The weights b(0..n_max-1) are evaluated once, and the rows climb one
+    ladder of residues mod p^K.  A nonzero residue pins the valuation
+    exactly.  A zero residue is an exact zero once p^K exceeds the row's
+    value bound (`_value_bound`): a path of nonzero weight steps up only
+    from levels below the first zero weight h, so |C_n^b| <= C_n M^n with
+    M the largest |b(x)| over x < min(n, h).  M is 0 for n >= 1 when
+    b(0) = 0, so the first rung settles every row of such a weight.  The
+    first K is the largest whose Kronecker slots fit one 64-bit word for
+    this window; K then doubles, on a window cut at the last row still
+    open, until every row is nonzero or proven zero.  For cb-c, the rows n
+    whose weights b(0..n-1) are all 1 are exact zeros, since C_n^b = C_n
+    there; they never enter the ladder, where they would climb past 2n bits.
     """
     minus = _subtrahend(expr, n_max)
-    if n_max and weight.eval(0) == 0:
-        weight.values(0, n_max)  # a short table fails as the DP would
-        values = _difference([1] + [0] * n_max, minus, None)
-        return [None if v == 0 else valuation(p, v) for v in values]
-    small = min(n_max, _SMALL_EXACT)
-    exact = _difference(catalan.weighted_catalan_series(weight, small), minus, None)
-    vals: list[int | None] = [
-        None if v == 0 else valuation(p, v) for v in exact
-    ]
-    pending = list(range(small + 1, n_max + 1))
-    vals.extend([None] * len(pending))
+    bvals = weight.values(0, n_max)
+    vals: list[int | None] = [None] * (n_max + 1)
+    first = 0
     if expr == "cb-c":
         # C_n^b depends on b(0..n-1) only: while those are all 1, C_n^b = C_n
-        ones = 0
-        while ones < n_max and weight.eval(ones) == 1:
-            ones += 1
-        pending = pending[max(ones - small, 0):]
+        while first < n_max and bvals[first] == 1:
+            first += 1
+        first += 1
+    pending = list(range(first, n_max + 1))
+    peak = None  # peak[k] = max |b(x)| over x < k, up to the vanishing height
     exponent = _first_exponent(p, n_max)
-    last = max(_last_exponent(p), exponent)
     while pending:
         modulus = p**exponent
-        lt = catalan.weighted_catalan_series(weight, pending[-1], modulus=modulus)
-        residues = _difference(lt, minus, modulus)
+        residues = _difference(kernel.dyck_dp_mod(bvals, pending[-1], modulus), minus, modulus)
+        open_rows = []
         for n in pending:
             if residues[n]:
                 vals[n] = valuation(p, residues[n])
-        pending = [n for n in pending if not residues[n]]
-        if exponent == last:
-            break
-        exponent = min(2 * exponent, last)
-    if pending:
-        exact = _difference(catalan.weighted_catalan_series(weight, pending[-1]), minus, None)
-        for n in pending:
-            vals[n] = valuation(p, exact[n]) if exact[n] else None
+                continue
+            if peak is None:  # built on the first zero residue only
+                peak = [0, *accumulate(map(abs, bvals[: kernel.vanishing_height(bvals)]), max)]
+            if modulus <= _value_bound(n, peak[min(n, len(peak) - 1)], minus):
+                open_rows.append(n)
+        pending = open_rows
+        exponent *= 2
     return vals
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from operator import add
 
-from . import catalan
+from . import catalan, kernel
 from .arith import IntPolynomial
 from .errors import DomainError
 from .weights import WeightFunction
@@ -99,12 +99,7 @@ def truncation_index(b: WeightFunction, modulus: int, bound: int) -> int | None:
         raise DomainError(f"modulus must be at least 2, got {modulus}")
     if bound < 0:
         raise DomainError("bound must be nonnegative")
-    prod = 1
-    for k in range(bound + 1):
-        prod = prod * b(k) % modulus
-        if prod == 0:
-            return k
-    return None
+    return kernel.vanishing_height(map(b, range(bound + 1)), modulus)
 
 
 @dataclass(frozen=True)

@@ -312,7 +312,6 @@ class _FamilyClause:
 
 
 _WITNESS_CAP = 8
-_SCAN_CAP = 4096
 
 
 def _parse_theorem(theorem: str, q: int | None) -> tuple[str, int]:
@@ -372,40 +371,8 @@ def _theorem_clauses(name: str, q: int, b: WeightFunction):
     return points, families
 
 
-def _scan_violation_x(b: WeightFunction, order: int, divisor: int) -> tuple[int, int]:
-    """First x with divisor not dividing diff^order b(x); exists by assumption."""
-    table = b.as_table(0, _SCAN_CAP + order + 1)
-    diff = finite_difference(table, order)
-    for i, v in enumerate(diff.values):
-        if v % divisor:
-            return i, v
-    raise AssertionError("violation promised by difference coefficients not found")
-
-
-def _family_witnesses_poly(
-    b: WeightFunction, newton: list[int], fam: _FamilyClause
-) -> list[ConditionWitness]:
-    deg = len(newton) - 1
-    out: list[ConditionWitness] = []
-    last = deg if fam.last_order is None else min(fam.last_order, deg)
-    for n in range(fam.first_order, last + 1):
-        divisor = fam.base ** fam.exponent(n)
-        bad_m = next((m for m in range(n, deg + 1) if newton[m] % divisor), None)
-        if bad_m is None:
-            continue
-        if bad_m == n:
-            out.append(ConditionWitness(fam.clause_id, n, 0, newton[n]))
-        else:
-            x, v = _scan_violation_x(b, n, divisor)
-            out.append(ConditionWitness(fam.clause_id, n, x, v))
-        if len(out) >= _WITNESS_CAP:
-            break
-    return out
-
-
-def _family_witnesses_table(
-    b: WeightFunction, window: ValueTable, fam: _FamilyClause
-) -> list[ConditionWitness]:
+def _family_witnesses_table(window: ValueTable, fam: _FamilyClause) -> list[ConditionWitness]:
+    """For each order the clause fails, the first x on the window that fails it."""
     max_order = len(window) - 1
     out: list[ConditionWitness] = []
     last = max_order if fam.last_order is None else min(fam.last_order, max_order)
@@ -430,10 +397,10 @@ def check_conditions(
 ) -> ConditionReport:
     """Test a theorem's divisibility hypotheses against a weight.
 
-    theorem is one of "ps", "main", "conj", or "qmain" / "qmain:Q".  For
-    polynomial weights every for-all-x clause reduces to finitely many
-    divisibility checks on the difference coefficients at 0, so the verdict
-    is exact; table weights are checked pointwise on the window only.
+    theorem is one of "ps", "main", "conj", or "qmain" / "qmain:Q".  Both
+    kinds are checked pointwise on a table of values.  For a polynomial of
+    degree d, b(0..d+1) fix every difference, so the verdict is exact for
+    all x; table weights are checked on the window only.
     """
     name, q = _parse_theorem(theorem, q)
     label = name if name != "qmain" else f"qmain:{q}"
@@ -447,13 +414,11 @@ def check_conditions(
             witnesses.append(ConditionWitness(pc.clause_id, None, pc.x, pc.value))
 
     if b.is_polynomial:
+        # diff^n b(0..deg-n) fix the Newton coefficients n..deg, which fix
+        # diff^n b everywhere: the first x failing order n is at most deg - n
         scope = "all-x"
         win = window if window is not None else range(0, b.degree + 2)
-        newton = weight_newton_coefficients(b)
-        for fam in families:
-            bad = _family_witnesses_poly(b, newton, fam)
-            clauses[fam.clause_id] = not bad
-            witnesses.extend(bad)
+        tab = b.as_table(0, b.degree + 2)
     else:
         scope = "window"
         assert b.table is not None
@@ -465,10 +430,10 @@ def check_conditions(
                 f"condition window needs at least 2 points, got {len(win)}"
             )
         tab = b.as_table(win.start, len(win))
-        for fam in families:
-            bad = _family_witnesses_table(b, tab, fam)
-            clauses[fam.clause_id] = not bad
-            witnesses.extend(bad)
+    for fam in families:
+        bad = _family_witnesses_table(tab, fam)
+        clauses[fam.clause_id] = not bad
+        witnesses.extend(bad)
 
     holds = all(clauses.values())
     return ConditionReport(

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcatalan import kernel, series
-from wcatalan.arith import digit_sum, is_prime, series_divide_exact, valuation
+from wcatalan.arith import digit_sum, series_divide_exact, valuation
 from wcatalan.catalan import catalan_number, catalan_series, weighted_catalan_series
 from wcatalan.errors import DomainError
 from wcatalan.morse import (
@@ -11,7 +11,7 @@ from wcatalan.morse import (
     _certified_valuations,
     _expression_values,
     _fit_violations,
-    _last_exponent,
+    _value_bound,
     conjecture_report,
     fit_padic_alpha,
     mod3r_period_check,
@@ -158,60 +158,90 @@ class TestCertificationLadder:
             assert upper == lower**2
             assert got[top] >= valuation(p, lower)
 
-    def test_depth_cap_matches_the_multiplying_loop(self):
-        def by_loop(p):
-            k, power = 0, p
-            while power <= 2**2048:
-                k += 1
-                power *= p
-            return k
-
-        bases = [p for p in range(2, 10**4) if is_prime(p)] + [2**61 - 1]
-        # the cap itself, and bases just around powers of two
-        bases += [2**2048 - 1, 2**2048, 2**2048 + 1, 2**1024, 2**1024 + 1, 2**682, 2**683 - 1]
-        for p in bases:
-            assert _last_exponent(p) == by_loop(p), p
-
-    def test_last_rung_stops_at_the_depth_cap(self, monkeypatch):
-        # b = 3^25 makes xi_3(C_n^b) >= 25 n, past the cap 3^1292 from n = 52
-        # on: those rows climb every rung, then take exact values
+    def test_rows_past_the_old_depth_cap_climb_to_their_valuations(self, monkeypatch):
+        # b = 3^25 makes xi_3(C_n^b) >= 25 n, past 3^1292 (the largest power
+        # of 3 up to 2^2048) from n = 52 on: K doubles until every row is
+        # nonzero, so the last rung is the first doubling past the deepest row
         weight = WeightFunction.polynomial([3**25])
         calls = _record_moduli(monkeypatch)
         got = _certified_valuations(weight, "cb", 3, 60)
         assert got == _exact_valuations(weight, "cb", 3, 60)
         assert max(got) > 1292
         moduli = [m for _, m in calls]
-        assert all(upper == lower**2 for lower, upper in zip(moduli, moduli[1:-1]))
-        # the largest power of 3 up to 2^2048, even though doubling skips it
-        assert moduli[-1] == 3**1292 <= 2**2048 < 3**1293
-        assert moduli[-2] < moduli[-1] < moduli[-2] ** 2
+        assert all(upper == lower**2 for lower, upper in zip(moduli, moduli[1:]))
+        assert valuation(3, moduli[-2]) <= max(got) < valuation(3, moduli[-1])
 
-    def test_exact_zeros_climb_to_the_depth_cap(self, monkeypatch):
+    def test_exact_zeros_are_proven_at_the_first_rung_past_the_bound(self, monkeypatch):
         # 1 / (1 - t / (1 + t)) = 1 + t, so C_n^b = 0 for n >= 2, which no
-        # closed form catches: those rows climb every rung, then read as zeros
+        # closed form catches.  A nonzero path steps up from levels 0 and 1
+        # only, so |C_n^b| <= C_n <= 4^n, and a zero residue past that is a zero
         weight = WeightFunction.from_table([1, -1] + [0] * 59)
         calls = _record_moduli(monkeypatch)
         got = _certified_valuations(weight, "cb", 3, 60)
         assert got[:2] == [0, 0]
         assert got[2:] == [None] * 59
         moduli = [m for _, m in calls]
-        assert all(upper == lower**2 for lower, upper in zip(moduli, moduli[1:-1]))
-        assert moduli[-1] == 3**1292
+        assert all(upper == lower**2 for lower, upper in zip(moduli, moduli[1:]))
+        assert moduli[-2] < 4**60 < moduli[-1] < 2**2048
 
     @pytest.mark.parametrize("expr", ["cb", "cb-c", "cb-1"])
     @pytest.mark.parametrize("coeffs", [[0], [0, 1], [0, 3, -2]])
     @pytest.mark.parametrize("p", [2, 3])
-    def test_zero_constant_weight_skips_the_ladder(self, monkeypatch, expr, coeffs, p):
-        # b(0) = 0 leaves only the empty path: C^b = 1, 0, 0, ...
+    def test_zero_constant_weight_takes_one_rung(self, monkeypatch, expr, coeffs, p):
+        # b(0) = 0 leaves only the empty path: C^b = 1, 0, 0, ...  The cb
+        # rows n >= 1 have value bound 0; the cb-c and cb-1 rows, -C_n and
+        # -1, are nonzero mod the first rung
         calls = _record_moduli(monkeypatch)
         got = _certified_valuations(WeightFunction.polynomial(coeffs), expr, p, 500)
-        assert calls == []
+        assert len(calls) == 1
         if expr == "cb":
             assert got == [0] + [None] * 500
         elif expr == "cb-1":
             assert got == [None] + [0] * 500
         else:
             assert got == [None] + [valuation(p, c) for c in catalan_series(500)[1:]]
+
+    def test_rows_past_the_old_depth_cap_never_take_an_exact_dp(self, monkeypatch):
+        # b = 4096 (x + 1) makes xi_2(C_n^b) >= 12 n: 4800 bits at n = 400
+        weight = WeightFunction.polynomial([4096, 4096])
+        want = {expr: _exact_valuations(weight, expr, 2, 400) for expr in ("cb", "cb-c", "cb-1")}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ladder called an exact DP")
+
+        monkeypatch.setattr(kernel, "dyck_dp_exact", refuse)
+        monkeypatch.setattr(kernel, "dyck_value_exact", refuse)
+        for expr, vals in want.items():
+            assert _certified_valuations(weight, expr, 2, 400) == vals, expr
+        assert max(want["cb"]) > 2048
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_cancellation_zero_is_proven(self, p):
+        # b = 1 - 2x: C_2^b = b(0)^2 + b(0) b(1) = 1 - 1 = 0
+        weight = WeightFunction.polynomial([1, -2])
+        got = _certified_valuations(weight, "cb", p, 400)
+        assert got[2] is None
+        assert got == _exact_valuations(weight, "cb", p, 400)
+
+    @given(
+        st.lists(st.integers(-6, 6) | st.just(0), min_size=40, max_size=40),
+        st.sampled_from(["cb", "cb-c", "cb-1"]),
+        st.sampled_from([2, 3, 5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_value_bound_holds_and_the_ladder_is_exact(self, table, expr, p):
+        weight = WeightFunction.from_table(table)
+        values = _expression_values(weight, expr, 40)
+        minus = {"cb": None, "cb-c": catalan_series(40), "cb-1": [1] * 41}[expr]
+        h = table.index(0) if 0 in table else 40
+        for n, v in enumerate(values):
+            # a nonzero path steps up only from levels below the first zero
+            peak = max(map(abs, table[: min(n, h)]), default=0)
+            size = minus[n] if minus else 0
+            assert abs(v) <= (4 * peak) ** n + size <= _value_bound(n, peak, minus), n
+        assert _certified_valuations(weight, expr, p, 40) == [
+            None if v == 0 else valuation(p, v) for v in values
+        ]
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_all_ones_weight_has_no_cb_c_rows_to_certify(self, monkeypatch, p):

@@ -137,6 +137,13 @@ class TestCheckConditions:
         w = next(w for w in report.witnesses if w.clause == "2^(n+1)-divides-diff-n")
         assert w.order == 1 and w.value % 4 != 0
 
+    def test_witness_past_x_zero(self):
+        # b = 1 + 3x + x^2: diff b = 4, 6, 8, ... fails 4 | diff b first at
+        # x = 1; diff^2 b = 2 fails 8 | diff^2 b at x = 0
+        report = check_conditions(WeightFunction.polynomial([1, 3, 1]), "ps")
+        assert report.scope == "all-x"
+        assert [(w.order, w.x, w.value) for w in report.witnesses] == [(1, 1, 6), (2, 0, 2)]
+
     def test_qmain(self):
         assert check_conditions(WeightFunction.polynomial([1, 9]), "qmain", q=3).holds
         assert check_conditions(WeightFunction.polynomial([1, 9]), "qmain:3").holds
