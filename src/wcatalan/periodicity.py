@@ -18,7 +18,7 @@ from operator import add
 
 from . import catalan, kernel
 from .arith import IntPolynomial
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .weights import WeightFunction
 
 __all__ = [
@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 DEFAULT_TRUNCATION_BOUND = 4096
+# Largest window analyze_weight_period takes; the largest default window
+# below it is morse period --pow3 13, at 2,598,156 terms.
+MAX_WINDOW = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -143,8 +146,39 @@ def _divisors(d: int) -> list[int]:
     return small + large[::-1]
 
 
-def _verified_period(terms: list[int], start: int, lam: int) -> bool:
-    return all(terms[t] == terms[t + lam] for t in range(start, len(terms) - lam))
+def _match_length(seq: list[int], a: int, b: int) -> int:
+    """Length of the longest common prefix of seq[a:] and seq[b:], a < b.
+
+    Slices are compared in chunks that double while they match and halve
+    once one does not, so a long match costs O(log) interpreted steps.
+    """
+    limit = len(seq) - b
+    length, step = 0, 1
+    while length < limit and (
+        seq[a + length : a + length + step] == seq[b + length : b + length + step]
+    ):
+        length += step
+        step *= 2
+    while step > 1:
+        step //= 2
+        if seq[a + length : a + length + step] == seq[b + length : b + length + step]:
+            length += step
+    return length
+
+
+def _z_function(seq: list[int]):
+    """Yield Z[1], Z[2], ...: Z[i] is the length of the longest common prefix
+    of seq and seq[i:] (Gusfield's Z-algorithm, linear in len(seq) overall)."""
+    n = len(seq)
+    z = [n]
+    left = right = 0  # the rightmost match box seq[left:right] == seq[:right - left]
+    for i in range(1, n):
+        zi = min(right - i, z[i - left]) if i < right else 0
+        if i + zi >= right:
+            zi += _match_length(seq, zi, i + zi)
+            left, right = i, i + zi
+        z.append(zi)
+        yield zi
 
 
 def detect_period(
@@ -157,32 +191,42 @@ def detect_period(
 ) -> PeriodReport:
     """Find the cycle of a residue stream via first repeated state tuples.
 
-    A repeat of a width-k tuple at distance d suggests a cycle; the minimal
-    period is the least divisor of d that verifies over the entire examined
-    suffix, and the preperiod is then extended backwards as far as the
-    repetition holds.  If no repeat verifies, the report carries period
-    None ("undetected within window") rather than raising.
+    A repeat of a width-k tuple at distance d, first seen at j, suggests a
+    cycle; the minimal period is the least divisor of d that verifies over
+    the entire examined suffix, and the preperiod is then extended backwards
+    as far as the repetition holds.  If no repeat verifies, the report
+    carries period None ("undetected within window") rather than raising.
+
+    Verification reads the Z-function of the window terms[0..N-1] reversed,
+    computed on demand up to the largest shift asked for: Z[lam] is the
+    length of the run, ending at the window's end, on which
+    terms[t] == terms[t + lam].  So lam verifies from j iff
+    lam + Z[lam] >= N - j, and its extended preperiod is N - lam - Z[lam].
     """
     if state_width < 1:
         raise DomainError("state width must be at least 1")
     if max_terms < 1:
         raise DomainError("window must contain at least one term")
-    terms = [r % modulus for r in itertools.islice(iter(residues), max_terms)]
-    k = state_width
+    backward = [r % modulus for r in itertools.islice(iter(residues), max_terms)]
+    backward.reverse()  # the window is read forwards through reversed(backward)
+    n = len(backward)
+    z = [n]
+    z_rest = _z_function(backward)
     first: dict[tuple, int] = {}
-    for i in range(len(terms) - k + 1):
-        key = tuple(terms[i : i + k])
+    states = zip(*(itertools.islice(reversed(backward), s, None) for s in range(state_width)))
+    for i, key in enumerate(states):
         j = first.setdefault(key, i)
         if j == i:
             continue
         d = i - j
-        for lam in _divisors(d):
-            if _verified_period(terms, j, lam):
-                pre = j
-                while pre > 0 and terms[pre - 1] == terms[pre - 1 + lam]:
-                    pre -= 1
-                return PeriodReport(modulus, pre, lam, len(terms), certified)
-    return PeriodReport(modulus, None, None, len(terms), certified)
+        if d >= len(z):
+            z.extend(itertools.islice(z_rest, d + 1 - len(z)))
+        # a shift that holds from j makes its multiple d hold from j too
+        if d + z[d] < n - j:
+            continue
+        lam = next(lam for lam in _divisors(d) if lam + z[lam] >= n - j)
+        return PeriodReport(modulus, n - lam - z[lam], lam, n, certified)
+    return PeriodReport(modulus, None, None, n, certified)
 
 
 @dataclass(frozen=True)
@@ -233,8 +277,13 @@ def analyze_weight_period(
     When a truncation index k exists the DP is height-capped at k, the
     report is certified, and the cycle detector's state width is the degree
     of the truncated denominator; otherwise the full DP runs uncertified
-    with state width 4.
+    with state width 4.  A window above MAX_WINDOW terms raises
+    ResourceLimitError before any residue is computed.
     """
+    if max_terms > MAX_WINDOW:
+        raise ResourceLimitError(
+            f"period window capped at {MAX_WINDOW} terms (requested {max_terms})"
+        )
     k = truncation_index(b, modulus, DEFAULT_TRUNCATION_BOUND)
     if k is None:
         cap = None

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -338,6 +342,40 @@ class TestExitCodes:
             main(["period", "--weight", "preset:morse", "--mod", "7", "--state-width", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --state-width 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["morse", "period", "--pow3", "64"],
+            ["period", "--weight", "preset:morse", "--mod", "7", "--max-terms", "5000000"],
+        ],
+    )
+    def test_period_window_cap(self, capsys, argv):
+        # --pow3 64 asks for 22 * 2 * 3^61 terms and used to run unbounded
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: period window capped at 4194304 terms")
+        assert err.count("\n") == 1
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_prints_the_in_process_envelope(self, capsys):
+        argv = ["period", "--weight", "preset:morse", "--mod", "7", "--max-terms", "500"]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "wcatalan", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        code, out, _ = run_cli(capsys, *argv)
+        assert (proc.returncode, code) == (0, 0), proc.stderr
+
+        def timeless(text):
+            return [line for line in text.splitlines() if '"elapsed_ms"' not in line]
+
+        assert timeless(proc.stdout) == timeless(out)
+        assert json.loads(proc.stdout)["result"]["period"] == 12
 
 
 class TestZeroRows:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wcatalan import morse, periodicity
 from wcatalan.arith import series_divide_exact
 from wcatalan.catalan import weighted_catalan_series
-from wcatalan.errors import DomainError
+from wcatalan.errors import DomainError, ResourceLimitError
 from wcatalan.periodicity import (
     PQPair,
     analyze_weight_period,
@@ -18,7 +19,7 @@ from wcatalan.periodicity import (
     truncation_index,
     weighted_residues,
 )
-from wcatalan.weights import WeightFunction
+from wcatalan.weights import WeightFunction, parse_weight_spec
 
 MORSE = WeightFunction.preset("morse")
 ONES = WeightFunction.preset("ones")
@@ -296,6 +297,93 @@ class TestDetectPeriod:
             "window",
             "certified",
         }
+
+
+def quadratic_first_repeat(residues, modulus, max_terms, state_width):
+    """Oracle: the quadratic form of detect_period's first-repeat rule.
+
+    At each repeated width-k state it tries every divisor of the distance,
+    verifying each term by term over the whole suffix, then extends the
+    preperiod back one term at a time.
+    """
+    terms = [r % modulus for r in itertools.islice(iter(residues), max_terms)]
+    first = {}
+    for i in range(len(terms) - state_width + 1):
+        key = tuple(terms[i : i + state_width])
+        j = first.setdefault(key, i)
+        if j == i:
+            continue
+        d = i - j
+        for lam in (x for x in range(1, d + 1) if d % x == 0):
+            if all(terms[t] == terms[t + lam] for t in range(j, len(terms) - lam)):
+                pre = j
+                while pre > 0 and terms[pre - 1] == terms[pre - 1 + lam]:
+                    pre -= 1
+                return pre, lam, len(terms)
+    return None, None, len(terms)
+
+
+@st.composite
+def residue_streams(draw):
+    """A planted preperiod and cycle, such a cycle with one term corrupted,
+    or pure noise; terms run past [0, modulus) so reduction is exercised."""
+    modulus = draw(st.integers(2, 13))
+    term = st.integers(-modulus, 2 * modulus - 1)
+    length = draw(st.integers(1, 160))
+    kind = draw(st.sampled_from(["planted", "corrupted", "noise"]))
+    if kind == "noise":
+        return modulus, draw(st.lists(term, min_size=length, max_size=length))
+    pre = draw(st.lists(term, max_size=12))
+    cycle = draw(st.lists(term, min_size=1, max_size=24))
+    terms = (pre + cycle * (length // len(cycle) + 1))[:length]
+    if kind == "corrupted":
+        at = draw(st.integers(0, length - 1))
+        terms[at] += draw(st.integers(1, modulus - 1))
+    return modulus, terms
+
+
+class TestZFunctionDetector:
+    @settings(max_examples=400, deadline=None)
+    @given(residue_streams(), st.integers(1, 5), st.integers(-40, 20), st.booleans())
+    def test_matches_the_quadratic_first_repeat_rule(self, stream, width, slack, certified):
+        modulus, terms = stream
+        # max_terms from well below the stream length to above it
+        max_terms = max(1, len(terms) + slack)
+        report = detect_period(terms, modulus, max_terms, width, certified=certified)
+        want = quadratic_first_repeat(terms, modulus, max_terms, width)
+        assert (report.preperiod, report.period, report.window) == want
+        assert (report.modulus, report.certified) == (modulus, certified)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=80))
+    def test_z_values_are_longest_common_prefixes(self, seq):
+        def lcp(i):
+            return next((k for k in range(len(seq) - i) if seq[k] != seq[i + k]), len(seq) - i)
+
+        assert list(periodicity._z_function(seq)) == [lcp(i) for i in range(1, len(seq))]
+
+    def test_uncertified_poly_window(self):
+        report = analyze_weight_period(parse_weight_spec("poly:1,2,4"), 12, 5000)
+        assert (report.preperiod, report.period, report.certified) == (24, 4970, False)
+
+    def test_mod_three_to_the_eighth(self):
+        check = morse.mod3r_period_check(8)
+        assert (check.report.preperiod, check.report.period) == (2, 486)
+        assert check.divides and check.report.certified
+
+
+class TestWindowCap:
+    def test_cap_comes_before_any_residue(self, monkeypatch):
+        def no_residues(*args, **kwargs):
+            raise AssertionError("residues computed above the window cap")
+
+        monkeypatch.setattr(periodicity, "weighted_residues", no_residues)
+        monkeypatch.setattr(periodicity, "truncation_index", no_residues)
+        with pytest.raises(ResourceLimitError, match="capped at 4194304 terms"):
+            analyze_weight_period(MORSE, 7, max_terms=periodicity.MAX_WINDOW + 1)
+
+    def test_cap_admits_the_largest_window_in_use(self):
+        assert 22 * 2 * 3 ** (13 - 3) <= periodicity.MAX_WINDOW == 1 << 22
 
 
 class TestRecurrenceFromQ:

@@ -1,5 +1,7 @@
 import pytest
 
+from wcatalan.arith import valuation
+from wcatalan.catalan import catalan_number, weighted_catalan
 from wcatalan.errors import DomainError, WeightSpecError
 from wcatalan.weights import (
     WeightFunction,
@@ -131,6 +133,16 @@ class TestCheckConditions:
         ps = check_conditions(b, "ps")
         assert not ps.holds
         assert not ps.clauses["2^(n+1)-divides-diff-n"]
+
+    def test_conj_hypotheses_hold_where_its_conclusion_fails(self):
+        # a verdict tests the hypotheses only: this weight meets every conj
+        # clause, yet xi_2(C_n^b) differs from xi_2(C_n) = 1 at n = 4 and 5
+        b = parse_weight_spec("poly:-3,-4,-3,-1")
+        report = check_conditions(b, "conj")
+        assert report.holds and report.scope == "all-x"
+        assert [weighted_catalan(b, n) for n in (4, 5)] == [139176, -23406912]
+        assert [valuation(2, weighted_catalan(b, n)) for n in (4, 5)] == [3, 6]
+        assert [valuation(2, catalan_number(n)) for n in (4, 5)] == [1, 1]
 
     def test_witness_points_at_violation(self):
         report = check_conditions(WeightFunction.polynomial([1, 2]), "ps")
