@@ -234,52 +234,57 @@ def _layer_rows(n: int, q: int) -> list:
         return [((), "()", 1)]
     layers = [()] + [_layer(s, q) for s in range(1, n)]
     rows = []
-    emit = rows.append
-
-    def fill(total, slots, top, prev, run, size, keys, parens):
-        # keys and parens: the j children so far, sorted by key; prev: the
-        # last one chosen, and run its multiplicity so far; size:
-        # q (q-1) ... (q-j+1) times their sizes over the factorials of
-        # their multiplicities.  The next child has at most `top` vertices,
-        # and a key no larger than prev's if it has `top`.
-        for width in range(min(total, top), 0, -1):
-            if width * slots < total:
-                break  # the slots left cannot hold the vertices left
-            rest = total - width
-            bound = prev[0] if width == top else None
-            for child in layers[width]:
-                key = child[0]
-                if bound is not None and key > bound:
-                    continue
-                mult = run + 1 if child is prev else 1
-                grown = size * slots // mult * child[2]
-                if rest and slots == 2 and not keys:
-                    # a binary root's second child takes the remainder: the
-                    # bulk of binary rows, built here without a recursive call
-                    text, twin = child[1], rest == width
-                    for last in layers[rest]:
-                        other = last[0]
-                        if twin and other > key:
-                            continue
-                        both = grown // 2 * last[2] if last is child else grown * last[2]
-                        if other < key:
-                            emit(((other, key), f"({last[1]}{text})", both))
-                        else:
-                            emit(((key, other), f"({text}{last[1]})", both))
-                    continue
-                if keys:
-                    i = bisect_right(keys, key)
-                    kids = keys[:i] + (key,) + keys[i:]
-                    texts = parens[:i] + (child[1],) + parens[i:]
-                else:
-                    kids, texts = (key,), (child[1],)
-                if rest:
-                    fill(rest, slots - 1, width, child, mult, grown, kids, texts)
-                else:
-                    emit((kids, "(" + "".join(texts) + ")", grown))
-
-    fill(n - 1, q, n, None, 0, 1, (), ())
+    _fill_rows(rows.append, layers, n - 1, q, n, None, 0, 1, (), ())
     return rows
+
+
+def _fill_rows(emit, layers, total, slots, top, prev, run, size, keys, parens):
+    """Emit every row that completes a root with `total` vertices left to place.
+
+    keys and parens: the j children so far, sorted by key; prev: the last
+    one chosen, and run its multiplicity so far; size: q (q-1) ... (q-j+1)
+    times their sizes over the factorials of their multiplicities.  The
+    next child has at most `top` vertices, and a key no larger than prev's
+    if it has `top`.  This and the other recursions here are module-level
+    functions, not closures: a recursive closure refers to itself through
+    its cell, a reference cycle that outlives the call until the cyclic
+    collector runs, and `cli.main` pauses that collector.
+    """
+    for width in range(min(total, top), 0, -1):
+        if width * slots < total:
+            break  # the slots left cannot hold the vertices left
+        rest = total - width
+        bound = prev[0] if width == top else None
+        for child in layers[width]:
+            key = child[0]
+            if bound is not None and key > bound:
+                continue
+            mult = run + 1 if child is prev else 1
+            grown = size * slots // mult * child[2]
+            if rest and slots == 2 and not keys:
+                # a binary root's second child takes the remainder: the
+                # bulk of binary rows, built here without a recursive call
+                text, twin = child[1], rest == width
+                for last in layers[rest]:
+                    other = last[0]
+                    if twin and other > key:
+                        continue
+                    both = grown // 2 * last[2] if last is child else grown * last[2]
+                    if other < key:
+                        emit(((other, key), f"({last[1]}{text})", both))
+                    else:
+                        emit(((key, other), f"({text}{last[1]})", both))
+                continue
+            if keys:
+                i = bisect_right(keys, key)
+                kids = keys[:i] + (key,) + keys[i:]
+                texts = parens[:i] + (child[1],) + parens[i:]
+            else:
+                kids, texts = (key,), (child[1],)
+            if rest:
+                _fill_rows(emit, layers, rest, slots - 1, width, child, mult, grown, kids, texts)
+            else:
+                emit((kids, "(" + "".join(texts) + ")", grown))
 
 
 def enumerate_orbits(n: int, q: int = 2, max_n: int | None = None) -> list[OrbitShape]:
@@ -514,58 +519,59 @@ def epsilon_recursive(shape: OrbitShape, eps, max_m: int) -> EpsilonSequence:
         raise DomainError(
             f"need weight carry entries up to order {need - 1}, got {len(bits_b)}"
         )
-    memo: dict = {}
+    return EpsilonSequence(q, _split_carries(shape.key, max_m, q, bits_b, {}))
 
-    def rec(key, top: int) -> tuple[int, ...]:
-        if key is None:
-            return tuple([1] + [0] * top)
-        ck = (key, top)
-        if ck in memo:
-            return memo[ck]
-        kids = [rec(k, top + 1) for k in key]
-        kids += [rec(None, top + 1)] * (q - len(key))
-        out = []
-        for m in range(top + 1):
-            acc = 0
-            for combo in _compositions(m, q + 1):
-                *idx, k = combo
-                coef = _multinomial(m, combo) % q
-                if coef == 0:
-                    continue
-                term = 1
-                for t in range(q):
-                    term *= kids[t][idx[t]]
-                for t in range(q):
-                    inc = 1
-                    for u in range(q):
-                        inc *= kids[u][idx[u] + 1] if u == t else kids[u][idx[u]]
-                    term += inc
-                acc += coef * bits_b[k] * term
-            out.append(acc % q)
-        result = tuple(out)
-        memo[ck] = result
-        return result
 
-    return EpsilonSequence(q, rec(shape.key, max_m))
+def _split_carries(key, top: int, q: int, bits_b: tuple, memo: dict) -> tuple[int, ...]:
+    """Carries e_0..e_top of the subtree `key` (None: an empty slot), memoized."""
+    if key is None:
+        return tuple([1] + [0] * top)
+    ck = (key, top)
+    if ck in memo:
+        return memo[ck]
+    kids = [_split_carries(k, top + 1, q, bits_b, memo) for k in key]
+    kids += [_split_carries(None, top + 1, q, bits_b, memo)] * (q - len(key))
+    out = []
+    for m in range(top + 1):
+        acc = 0
+        for combo in _compositions(m, q + 1):
+            *idx, k = combo
+            coef = _multinomial(m, combo) % q
+            if coef == 0:
+                continue
+            term = 1
+            for t in range(q):
+                term *= kids[t][idx[t]]
+            for t in range(q):
+                inc = 1
+                for u in range(q):
+                    inc *= kids[u][idx[u] + 1] if u == t else kids[u][idx[u]]
+                term += inc
+            acc += coef * bits_b[k] * term
+        out.append(acc % q)
+    result = tuple(out)
+    memo[ck] = result
+    return result
 
 
 def _ordered_representative(key):
     """Children lists and subtree vertex lists of the canonical ordered tree."""
     children: list[list[int]] = []
     subtree: list[list[int]] = []
-
-    def build(k) -> int:
-        v = len(children)
-        children.append([])
-        subtree.append([v])
-        for ck in k:
-            c = build(ck)
-            children[v].append(c)
-            subtree[v].extend(subtree[c])
-        return v
-
-    build(key)
+    _add_vertex(key, children, subtree)
     return children, subtree
+
+
+def _add_vertex(key, children: list, subtree: list) -> int:
+    """Number the subtree `key` in preorder; return its root's number."""
+    v = len(children)
+    children.append([])
+    subtree.append([v])
+    for ck in key:
+        c = _add_vertex(ck, children, subtree)
+        children[v].append(c)
+        subtree[v].extend(subtree[c])
+    return v
 
 
 def coin_oracle(
@@ -633,18 +639,17 @@ def reduce_orbit(shape: OrbitShape) -> tuple[OrbitShape, int]:
     """
     if shape.is_empty:
         return shape, 0
-    q = shape.q
+    new_key, removed = _reduce_key(shape.key, shape.q)
+    return OrbitShape(shape.q, new_key), removed
 
-    def rec(key):
-        if _is_complete_key(key, q):
-            return (), _key_vertices(key) - 1
-        kids = []
-        removed = 0
-        for ck in key:
-            rk, r = rec(ck)
-            kids.append(rk)
-            removed += r
-        return tuple(sorted(kids)), removed
 
-    new_key, removed = rec(shape.key)
-    return OrbitShape(q, new_key), removed
+def _reduce_key(key, q: int) -> tuple[tuple, int]:
+    if _is_complete_key(key, q):
+        return (), _key_vertices(key) - 1
+    kids = []
+    removed = 0
+    for ck in key:
+        rk, r = _reduce_key(ck, q)
+        kids.append(rk)
+        removed += r
+    return tuple(sorted(kids)), removed

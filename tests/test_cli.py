@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -5,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcatalan import orbits
-from wcatalan.cli import main
+from wcatalan.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, main
 
 
 def run_cli(capsys, *argv):
@@ -387,3 +392,147 @@ class TestZeroRows:
         assert [r["valuation"] for r in wide["rows"][:300]] == [
             r["valuation"] for r in exact["rows"]
         ] == [None] * 300
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """Run the body with the cyclic collector on or off, then restore it."""
+    was = gc.isenabled()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+class TestCollectorPause:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["compute", "--weight", "preset:ones", "--n", "3"], 0),
+            (["compute", "--weight", "bogus", "--n", "2"], 2),
+            (["compute", "--weight", "table:1,9", "--n", "5"], 3),
+            (["orbits", "--n", "17"], 4),
+        ],
+    )
+    def test_restored_on_every_exit_code(self, capsys, enabled, argv, expected):
+        with collector(enabled):
+            assert run_cli(capsys, *argv)[0] == expected
+            assert gc.isenabled() is enabled
+
+    def test_restored_when_an_exception_escapes(self, capsys, enabled):
+        # L_760 has over 4300 digits: the envelope writer's int-to-str
+        # conversion raises ValueError, which no handler in `main` catches
+        with collector(enabled):
+            with pytest.raises(ValueError):
+                main(["compute", "--weight", "preset:morse", "--n", "760"])
+            assert gc.isenabled() is enabled
+
+    def test_paused_while_the_command_runs(self, capsys, monkeypatch, enabled):
+        seen = []
+        enumerate_orbits = orbits.enumerate_orbits
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return enumerate_orbits(*args, **kwargs)
+
+        monkeypatch.setattr(orbits, "enumerate_orbits", spy)
+        with collector(enabled):
+            run_json(capsys, "orbits", "--n", "5")
+        assert seen == [False]
+
+
+def _ints(lo, hi, *extra):
+    """Decimal strings of lo..hi or of one of the extra values."""
+    values = st.integers(lo, hi)
+    return (st.one_of(values, st.sampled_from(extra)) if extra else values).map(str)
+
+
+_JUNK = st.text(alphabet="0123456789-+,:.()abcpx", max_size=6)
+_WEIGHT = st.one_of(
+    st.sampled_from(
+        ["ones", "matchings", "alt-even", "alt-odd", "morse", "nope",
+         "morse-power:2", "morse-power:0", "morse-power:x"]
+    ).map("preset:".__add__),
+    st.lists(st.integers(-4, 4), max_size=4).map(lambda cs: "poly:" + ",".join(map(str, cs))),
+    st.lists(st.integers(-9, 9), max_size=8).map(lambda vs: "table:" + ",".join(map(str, vs))),
+    _JUNK,
+)
+_RANGE = st.one_of(
+    st.tuples(st.integers(-3, 40), st.integers(-3, 40)).map(lambda ab: f"{ab[0]}..{ab[1]}"),
+    _JUNK,
+)
+_THEOREM = st.one_of(
+    st.sampled_from(["ps", "main", "conj", "qmain", "qmain:2", "qmain:3", "qmain:5", "qmain:x"]),
+    _JUNK,
+)
+_WHICH = st.one_of(
+    st.sampled_from(
+        ["2adic", "5adic", "3adic", "2adic-general:0", "2adic-general:3", "2adic-general:x"]
+    ),
+    _JUNK,
+)
+_SHAPE = st.one_of(st.text("()", max_size=12), _JUNK)
+_EXPR = st.sampled_from(["cb", "cb-c", "cb-1", "cb-2"])
+_FORMAT = st.sampled_from(["json", "csv", "xml"])
+_MOD = _ints(-2, 60, 2**61 - 1, 2**64)
+_SWITCH = None  # a flag that takes no value
+# Sizes are capped so that one argv runs in milliseconds.  The few large
+# values besides the wide moduli are ones the CLI must refuse at once (exit 4).
+_COMMANDS = [
+    (["compute"], [("--weight", _WEIGHT), ("--n", _ints(-2, 24)), ("--q", _ints(-1, 4)),
+                   ("--mod", _MOD)]),
+    (["valuation"], [("--weight", _WEIGHT), ("--p", _ints(-2, 12)), ("--expr", _EXPR),
+                     ("--range", _RANGE), ("--format", _FORMAT)]),
+    (["check"], [("--weight", _WEIGHT), ("--theorem", _THEOREM), ("--window", _RANGE)]),
+    (["orbits"], [("--n", _ints(-2, 10, 17)), ("--q", _ints(0, 4)), ("--minimal", _SWITCH),
+                  ("--reduce", _SWITCH), ("--max-orbit-n", _ints(-1, 10))]),
+    (["epsilon"], [("--weight", _WEIGHT), ("--shape", _SHAPE), ("--m", _ints(-2, 6, 33)),
+                   ("--q", _ints(0, 4)),
+                   ("--method", st.sampled_from(["direct", "recursive", "coin", "all", "none"]))]),
+    (["period"], [("--weight", _WEIGHT), ("--mod", _MOD),
+                  ("--max-terms", _ints(-2, 300, 5000000))]),
+    (["pq"], [("--weight", _WEIGHT), ("--truncate", _ints(-2, 24)), ("--mod", _MOD)]),
+    (["morse", "period"], [("--mod", _MOD), ("--pow3", _ints(-2, 7, 64)),
+                           ("--max-terms", _ints(-2, 300))]),
+    (["morse", "profile"], [("--expr", _EXPR), ("--p", _ints(-2, 12)), ("--range", _RANGE),
+                            ("--format", _FORMAT)]),
+    (["morse", "fit-alpha"], [("--which", _WHICH), ("--n-max", _ints(-2, 64)),
+                              ("--depth", _ints(-1, 4))]),
+    (["morse", "report"], [("--which", _WHICH), ("--n-max", _ints(-2, 64)),
+                           ("--depth", _ints(-1, 4))]),
+]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with each of its flags present 9 times in 10."""
+    words, flags = draw(st.sampled_from(_COMMANDS))
+    argv = list(words)
+    for flag, values in flags:
+        if draw(st.integers(0, 9)):
+            argv.append(flag)
+            if values is not _SWITCH:
+                argv.append(draw(values))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN, EXIT_RESOURCE), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert gc.isenabled()

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 from collections import Counter
@@ -14,6 +15,7 @@ from wcatalan.errors import DomainError, ResourceLimitError
 from wcatalan.orbits import (
     OrbitShape,
     _layer,
+    _layer_rows,
     _ordered_representative,
     average_weight,
     coin_oracle,
@@ -657,6 +659,26 @@ class TestReduction:
         for s in all_shapes(7):
             reduced, removed = reduce_orbit(s)
             assert s.vertex_count - reduced.vertex_count == removed
+
+
+def test_recursions_leave_no_cyclic_garbage():
+    # `cli.main` runs each command with the cyclic collector paused, so what
+    # these recursions build must be freed by reference counting alone
+    shape = OrbitShape.node([complete_shape(2), OrbitShape.node([CHERRY])])
+    eps_b = epsilon_of_weight(MORSE, 12)
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        _layer_rows(12, 2)
+        reduce_orbit(shape)
+        _ordered_representative(shape.key)
+        epsilon_recursive(shape, eps_b, 3)
+        epsilon_direct(shape, MORSE, 3)
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
 
 
 class TestMultinomialDivisibility:

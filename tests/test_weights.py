@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
-from wcatalan.arith import valuation
-from wcatalan.catalan import catalan_number, weighted_catalan
+from wcatalan.arith import digit_sum, valuation
+from wcatalan.catalan import catalan_number, weighted_catalan, weighted_catalan_series
 from wcatalan.errors import DomainError, WeightSpecError
 from wcatalan.weights import (
     WeightFunction,
@@ -143,6 +145,32 @@ class TestCheckConditions:
         assert [weighted_catalan(b, n) for n in (4, 5)] == [139176, -23406912]
         assert [valuation(2, weighted_catalan(b, n)) for n in (4, 5)] == [3, 6]
         assert [valuation(2, catalan_number(n)) for n in (4, 5)] == [1, 1]
+
+    def test_cubic_census_against_the_conclusion(self):
+        # every cubic c0 + c1 x + c2 x^2 + c3 x^3 with coefficients in -4..4
+        # and b(0) odd, tested for xi_2(C_n^b) = xi_2(C_n) = s_2(n+1) - 1 at
+        # n <= 64 (residues mod 2^8 tell valuations up to 7).  `ps` and `main`
+        # imply the conclusion; `conj` implies it only for an even c3, since
+        # for a cubic it asks just 2 | diff^3 b = 6 c3
+        xi = [digit_sum(2, n + 1) - 1 for n in range(65)]
+        holding = {"ps": set(), "main": set(), "conj": set()}
+        for coeffs in itertools.product((-3, -1, 1, 3), *[range(-4, 5)] * 3):
+            b = WeightFunction.polynomial(list(coeffs))
+            for theorem, weights in holding.items():
+                if check_conditions(b, theorem).holds:
+                    weights.add(coeffs)
+
+        def concludes(coeffs):
+            b = WeightFunction.polynomial(list(coeffs))
+            values = weighted_catalan_series(b, 64, modulus=2**8)
+            return all(v and valuation(2, v) == x for v, x in zip(values, xi))
+
+        assert {t: len(w) for t, w in holding.items()} == {"ps": 36, "main": 156, "conj": 732}
+        assert all(concludes(c) for c in holding["ps"] | holding["main"])
+        even = {c for c in holding["conj"] if c[3] % 2 == 0}
+        assert (len(even), len(holding["conj"] - even)) == (412, 320)
+        assert all(concludes(c) for c in even)
+        assert not any(concludes(c) for c in holding["conj"] - even)
 
     def test_witness_points_at_violation(self):
         report = check_conditions(WeightFunction.polynomial([1, 2]), "ps")
