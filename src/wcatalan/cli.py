@@ -323,6 +323,7 @@ def _cmd_morse(args, started) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call; `main` keeps the first one it builds."""
     parser = argparse.ArgumentParser(
         prog="wcatalan",
         description="Exact weighted Catalan arithmetic: values, valuations, orbits, periods.",
@@ -410,9 +411,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser `main` built on its first call, with the builder that built it:
+# (builder, parser).  A build costs some forty parses, so in-process callers
+# share one parser.  When the module attribute `build_parser` is no longer
+# that builder (a wrapper swapped in from outside, or the original put back),
+# the next call builds again, through it.
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None or _PARSER[0] is not build_parser:
+        _PARSER = (build_parser, build_parser())
+    args = _PARSER[1].parse_args(argv)
     started = time.perf_counter()
     # A command builds large acyclic data (56,011 orbit shapes at n = 17)
     # and makes no reference cycles, so every pass of the cyclic collector

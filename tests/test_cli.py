@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcatalan import orbits
+from wcatalan import cli, orbits
 from wcatalan.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, main
 
 
@@ -447,6 +448,125 @@ class TestCollectorPause:
         with collector(enabled):
             run_json(capsys, "orbits", "--n", "5")
         assert seen == [False]
+
+
+def exit_code(capsys, argv):
+    """`main`'s exit code, counting argparse's SystemExit as a return."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    return code
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count the parsers built through `cli.build_parser`, from an empty slot."""
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    return built
+
+
+class TestParserReuse:
+    def test_one_build_serves_every_exit_code(self, capsys, builds):
+        calls = [
+            (["compute", "--weight", "preset:ones", "--n", "3"], EXIT_OK),
+            (["compute", "--weight", "bogus", "--n", "2"], EXIT_PARSE),
+            (["compute", "--n", "3"], EXIT_PARSE),  # argparse: --weight missing
+            (["compute", "--weight", "table:1,9", "--n", "5"], EXIT_DOMAIN),
+            (["orbits", "--n", "17"], EXIT_RESOURCE),
+        ]
+        codes = [exit_code(capsys, argv) for _ in range(4) for argv, _ in calls]
+        assert codes == [code for argv, code in calls] * 4
+        assert len(builds) == 1
+
+    def test_build_parser_returns_a_new_parser_every_call(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1])\n"
+            "import wcatalan.cli\n"
+            "print(wcatalan.cli._PARSER)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (0, "None\n"), proc.stderr
+
+    def test_reuse_carries_no_state(self, capsys, builds):
+        first = ["compute", "--weight", "poly:1,4,4", "--n", "6"]
+        before = run_json(capsys, *first)
+        assert exit_code(capsys, ["compute", "--weight", "poly:1", "--n", "x"]) == EXIT_PARSE
+        helps = []
+        for _ in range(2):
+            for argv in (["--help"], ["orbits", "--help"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 0
+                helps.append(capsys.readouterr().out)
+        assert helps[:2] == helps[2:]
+        assert "--max-orbit-n" in helps[1]
+        assert exit_code(capsys, ["compute", "--weight", "table:1,9", "--n", "5"]) == EXIT_DOMAIN
+        run_json(capsys, "compute", "--weight", "preset:morse", "--n", "5", "--q", "3",
+                 "--mod", "7")
+        assert run_cli(capsys, "valuation", "--weight", "preset:morse", "--p", "2",
+                       "--range", "1..8", "--format", "csv")[0] == EXIT_OK
+        run_json(capsys, "orbits", "--n", "14", "--minimal", "--reduce")
+        run_json(capsys, "period", "--weight", "preset:morse", "--mod", "7",
+                 "--max-terms", "64")
+        after = run_json(capsys, *first)
+        before.pop("elapsed_ms")
+        after.pop("elapsed_ms")
+        assert after == before
+        assert len(builds) == 1
+        shared, fresh = cli._PARSER[1], cli.build_parser()
+        for argv in (
+            first,
+            ["valuation", "--weight", "preset:morse", "--p", "2", "--range", "1..8"],
+            ["orbits", "--n", "14"],
+            ["period", "--weight", "preset:morse", "--mod", "7"],
+        ):
+            assert shared.parse_args(argv) == fresh.parse_args(argv)
+
+    def test_a_swapped_builder_is_built_once_and_keeps_its_parse_wrapper(
+        self, capsys, monkeypatch
+    ):
+        # the traced benchmark run swaps `cli.build_parser` for a builder that
+        # also wraps `parse_args` on the parser it returns, then puts it back
+        build, parses = cli.build_parser, []
+
+        def traced():
+            parser = build()
+            plain = parser.parse_args
+
+            def parse_args(*args, **kwargs):
+                parses.append(1)
+                return plain(*args, **kwargs)
+
+            parser.parse_args = parse_args
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", traced)
+        for n in range(1, 4):
+            run_json(capsys, "compute", "--weight", "preset:ones", "--n", "3")
+            assert len(parses) == n
+        assert cli._PARSER[0] is traced
+        monkeypatch.undo()
+        run_json(capsys, "compute", "--weight", "preset:ones", "--n", "3")
+        assert len(parses) == 3
+        builder, parser = cli._PARSER
+        assert builder is build
+        assert parser.parse_args.__func__ is argparse.ArgumentParser.parse_args
 
 
 def _ints(lo, hi, *extra):
