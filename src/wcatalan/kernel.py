@@ -16,6 +16,10 @@ Residues mod m come from one of two pure-Python engines:
    terms, for small heights under a modulus of 31 bits or more, and for
    moduli far above word size.
 
+The same crossover (`series_wins`) picks the engine for the truncated
+continued fraction P/Q mod m in `periodicity`: the tree's numerator and
+denominator, or the one-pass gap-chain sums there.
+
 Exact values come from the Dyck DP, which is also the reference the tree
 is tested against: the whole 2n-step DP for a series, and its first n
 steps for one value (`dyck_value_exact`).
@@ -104,7 +108,13 @@ def vanishing_height(bvals, modulus: int | None = None) -> int | None:
     return None
 
 
-def _series_wins(n_max: int, modulus: int, height: int) -> bool:
+def series_wins(n_max: int, modulus: int, height: int) -> bool:
+    """Whether the S-fraction tree is picked over the Dyck DP for residues
+    mod `modulus` at n = 0..n_max under height limit `height`.
+
+    `periodicity.continued_fraction_pq` asks the same rule, at
+    n_max = height = depth + 1, to pick its engine for P/Q mod m.
+    """
     bits = modulus.bit_length()
     if bits <= SERIES_NARROW_BITS:
         return n_max >= SERIES_MIN_TERMS
@@ -115,7 +125,7 @@ def _series_wins(n_max: int, modulus: int, height: int) -> bool:
 def dyck_dp_mod(bvals, n_max: int, modulus: int, height_cap: int | None = None) -> list[int]:
     """Weighted Catalan residues mod `modulus` for n = 0..n_max."""
     height = _check_args(bvals, n_max, modulus, height_cap)
-    if _series_wins(n_max, modulus, height):
+    if series_wins(n_max, modulus, height):
         return series.dyck_series_mod(bvals, n_max, modulus, height)
     return _dyck_dp(bvals, n_max, modulus, height)
 

@@ -7,6 +7,11 @@ satisfies the linear recurrence read off Q, hence is eventually periodic.
 This module computes P/Q exactly or mod m, finds truncation indices,
 detects cycles in residue streams, and certifies pure periodicity when the
 degree and coprimality conditions hold.
+
+P and Q mod m come from the S-fraction product tree in `series`, the
+engine the residues use, wherever the kernel's crossover
+(`kernel.series_wins`) would pick it for the residues of the same depth;
+otherwise, and exactly, from one pass over the gap chains.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 from dataclasses import dataclass
 from operator import add
 
-from . import catalan, kernel
+from . import catalan, kernel, series
 from .arith import IntPolynomial
 from .errors import DomainError, ResourceLimitError
 from .weights import WeightFunction
@@ -78,16 +83,23 @@ def continued_fraction_pq(b: WeightFunction, n: int, modulus: int | None = None)
     P has coefficient (-1)^k * (chain sums over indices 1..n) at x^k and Q
     the same over indices 0..n; the chains are strictly increasing with
     consecutive gaps >= 2.  P/Q expands to the generating function of
-    weighted paths of height at most n+1.  No exact sum is built mod m.
+    weighted paths of height at most n+1.  No exact sum is built mod m:
+    the residues come from the S-fraction tree, in O(M(n) log n), where
+    `kernel.series_wins` picks it for n + 1 terms at height n + 1, and
+    from the O(n^2) gap-chain pass otherwise (wide moduli at small depth).
+    Both arguments are checked before any weight is evaluated.
     """
     if n < 0:
         raise DomainError("truncation depth must be nonnegative")
-    bv = b.values(0, n + 1)
     if modulus is not None and modulus < 2:
         raise DomainError(f"modulus must be at least 2, got {modulus}")
-    p_sums, q_sums = _gap_chain_sums(bv, modulus)
-    if modulus is not None:
-        p_sums, q_sums = [c % modulus for c in p_sums], [c % modulus for c in q_sums]
+    bv = b.values(0, n + 1)
+    if modulus is not None and kernel.series_wins(n + 1, modulus, n + 1):
+        p_sums, q_sums = series.fraction_mod(bv, modulus, n + 1)
+    else:
+        p_sums, q_sums = _gap_chain_sums(bv, modulus)
+        if modulus is not None:
+            p_sums, q_sums = [c % modulus for c in p_sums], [c % modulus for c in q_sums]
     return PQPair(IntPolynomial(tuple(p_sums)), IntPolynomial(tuple(q_sums)), n)
 
 

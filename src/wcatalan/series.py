@@ -17,7 +17,9 @@ The weighted Catalan generating function is the S-fraction (Flajolet 1980)
 and its truncation after h levels counts exactly the paths that stay at
 or below height h.  Level k is the Moebius step y -> 1 / (1 - b_k x y),
 with matrix M_k = [[0, 1], [-b_k x, 1]]; so with M_0 M_1 ... M_{h-1} =
-[[A, B], [C, D]] the truncated fraction is (A + B) / (C + D).  A balanced
+[[A, B], [C, D]] the truncated fraction is (A + B) / (C + D), whose
+numerator and denominator (`fraction_mod`) are the P and Q of
+`periodicity.continued_fraction_pq` at depth h - 1.  A balanced
 product tree forms that product, and a Newton inverse (Sieveking 1972,
 Kung 1974) to half the order with one correction step (Karp and Markstein
 1997) divides, in O(M(n) log h) for polynomial multiplication time M(n),
@@ -36,7 +38,7 @@ import sys
 from array import array
 from itertools import zip_longest
 
-__all__ = ["fits_word", "mul_mod", "inverse_mod", "dyck_series_mod"]
+__all__ = ["fits_word", "mul_mod", "inverse_mod", "fraction_mod", "dyck_series_mod"]
 
 # Blocks of at most this many S-fraction levels are multiplied out one level
 # at a time, exactly; above it, halves are combined by Kronecker products.
@@ -202,6 +204,20 @@ def _fraction(steps: list[int], lo: int, hi: int, modulus: int):
     )
 
 
+def fraction_mod(bvals, modulus: int, height: int) -> tuple[list[int], list[int]]:
+    """Numerator and denominator of the S-fraction truncated after `height` levels.
+
+    For h levels b_0 .. b_(h-1) this is (P, Q) mod `modulus` of depth h - 1
+    (`periodicity.continued_fraction_pq`): lists of coefficients in
+    [0, modulus), lowest degree first, trailing zeros dropped.  P/Q counts
+    the paths that stay at or below height h.  The arguments are trusted,
+    as for `dyck_series_mod`: modulus at least 2, height at most
+    len(bvals).
+    """
+    steps = [-v % modulus for v in bvals[:height]]
+    return _fraction(steps, 0, height, modulus)
+
+
 def dyck_series_mod(bvals, n_max: int, modulus: int, height: int) -> list[int]:
     """Residues of the weighted Catalan numbers mod `modulus` for n = 0..n_max.
 
@@ -209,8 +225,7 @@ def dyck_series_mod(bvals, n_max: int, modulus: int, height: int) -> list[int]:
     are trusted: `kernel.dyck_dp_mod` checks them and resolves a height cap
     into `height` (at most n_max, and no more than len(bvals)).
     """
-    steps = [-v % modulus for v in bvals[:height]]
-    numer, denom = _fraction(steps, 0, height, modulus)
+    numer, denom = fraction_mod(bvals, modulus, height)
     # One-step quotient (Karp and Markstein 1997): with g = 1/denom to half
     # the order, q0 = numer g is right to half the order, and the remainder
     # numer - denom q0, which starts at x^half, times g gives the rest.

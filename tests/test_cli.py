@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -337,6 +338,23 @@ class TestExitCodes:
         )
         assert code == 3
         assert "modulus must be at least 2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pq", "--weight", "preset:morse", "--truncate", "3000000", "--mod", "1"],
+            ["compute", "--weight", "preset:morse", "--n", "3000000", "--mod", "1"],
+            ["compute", "--weight", "preset:morse", "--n", "3000000", "--q", "3", "--mod", "1"],
+            ["period", "--weight", "preset:morse", "--mod", "1"],
+        ],
+    )
+    def test_modulus_is_checked_before_any_work(self, capsys, argv):
+        # 3,000,000 Morse weights alone take over a second to evaluate
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        elapsed = time.perf_counter() - started
+        assert (code, out, err) == (3, "", "error: modulus must be at least 2, got 1\n")
+        assert elapsed < 0.5
 
     def test_zero_max_terms_is_domain_error(self, capsys):
         # as for `period` and `morse period --pow3` (tests/test_envelopes.py)

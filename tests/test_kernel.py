@@ -150,7 +150,7 @@ def vanishing_cases(draw, tree_side):
 @settings(max_examples=60, deadline=None)
 def test_residue_dp_caps_at_the_vanishing_height(case):
     bvals, n, m, cap = case
-    assert not kernel._series_wins(n, m, kernel._check_args(bvals, n, m, cap))
+    assert not kernel.series_wins(n, m, kernel._check_args(bvals, n, m, cap))
     exact = kernel.dyck_dp_exact(bvals, n, cap)
     assert kernel.dyck_dp_mod(bvals, n, m, cap) == [v % m for v in exact]
 
@@ -159,7 +159,7 @@ def test_residue_dp_caps_at_the_vanishing_height(case):
 @settings(max_examples=30, deadline=None)
 def test_residue_tree_caps_at_the_vanishing_height(case):
     bvals, n, m, cap = case
-    assert kernel._series_wins(n, m, kernel._check_args(bvals, n, m, cap))
+    assert kernel.series_wins(n, m, kernel._check_args(bvals, n, m, cap))
     exact = kernel.dyck_dp_exact(bvals, n, cap)
     assert kernel.dyck_dp_mod(bvals, n, m, cap) == [v % m for v in exact]
 
@@ -176,7 +176,7 @@ def test_engines_stop_at_the_vanishing_height(monkeypatch):
     morse = WeightFunction.preset("morse").values(0, 300)
     m = 3**40
     k = next(k for k in range(300) if math.prod(morse[: k + 1]) % m == 0)
-    assert kernel._series_wins(300, m, k)
+    assert kernel.series_wins(300, m, k)
     kernel.dyck_dp_mod(morse, 60, 7)  # 7 | b(0)...b(3)
     kernel.dyck_dp_mod(morse, 300, m)
     kernel.dyck_dp_exact([2, 3, 0, 5], 4)

@@ -166,9 +166,9 @@ class TestContinuedFractionPQ:
 
 
 @st.composite
-def weights_and_depth(draw):
-    """A polynomial or table weight (zeros and negatives allowed) and a depth 0..120."""
-    n = draw(st.integers(0, 120))
+def weights_and_depth(draw, depths=st.integers(0, 120)):
+    """A polynomial or table weight (zeros and negatives allowed) and a depth."""
+    n = draw(depths)
     if draw(st.booleans()):
         coeffs = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
         b = WeightFunction.polynomial(coeffs)
@@ -178,27 +178,59 @@ def weights_and_depth(draw):
     return b, n
 
 
-def _moduli(exact_q):
-    """Moduli 2..2^200: arbitrary, powers of 2, and divisors of Q's top coefficient."""
+def _moduli(exact_q, bits=200):
+    """Moduli 2..2^bits: arbitrary, powers of 2, and divisors of Q's top coefficient."""
     top = abs(exact_q.leading)
     divisors = [d for d in range(2, 50) if top % d == 0]
-    options = [st.integers(2, 2**200), st.builds(lambda e: 2**e, st.integers(1, 200))]
+    options = [st.integers(2, 2**bits), st.builds(lambda e: 2**e, st.integers(1, bits))]
     if divisors:
         options.append(st.sampled_from(divisors))
     return st.one_of(*options)
+
+
+def _assert_reduced_exact_pair(b, n, data, bits=200):
+    exact = continued_fraction_pq(b, n)
+    m = data.draw(_moduli(exact.Q, bits), label="modulus")
+    pair = continued_fraction_pq(b, n, m)
+    assert pair.P.coefficients == trimmed(c % m for c in exact.P.coefficients)
+    assert pair.Q.coefficients == trimmed(c % m for c in exact.Q.coefficients)
+    assert pair.truncation == n
 
 
 class TestOnePassPQ:
     @given(wn=weights_and_depth(), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_residues_are_the_reduced_exact_pair(self, wn, data):
-        b, n = wn
-        exact = continued_fraction_pq(b, n)
-        m = data.draw(_moduli(exact.Q), label="modulus")
-        pair = continued_fraction_pq(b, n, m)
-        assert pair.P.coefficients == trimmed(c % m for c in exact.P.coefficients)
-        assert pair.Q.coefficients == trimmed(c % m for c in exact.Q.coefficients)
-        assert pair.truncation == n
+        _assert_reduced_exact_pair(*wn, data)
+
+    @given(wn=weights_and_depth(st.integers(100, 300)), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_residues_are_the_reduced_exact_pair_across_the_crossover(self, wn, data):
+        """Up to 64 bits the S-fraction tree takes over from depth 127 on."""
+        _assert_reduced_exact_pair(*wn, data, bits=61)
+
+    def test_tree_side_never_runs_the_gap_chains(self, monkeypatch):
+        b, m = parse_weight_spec("poly:9,0,1"), 658063
+        p_sums, q_sums = periodicity._gap_chain_sums(b.values(0, 1025), m)
+
+        def fail(bv, modulus):
+            raise AssertionError("gap-chain pass ran")
+
+        monkeypatch.setattr(periodicity, "_gap_chain_sums", fail)
+        pair = continued_fraction_pq(b, 1024, m)
+        assert pair.P.coefficients == trimmed(c % m for c in p_sums)
+        assert pair.Q.coefficients == trimmed(c % m for c in q_sums)
+        assert pair.truncation == 1024
+
+    def test_wide_moduli_at_small_depth_keep_the_gap_chains(self, monkeypatch):
+        calls = []
+        real = periodicity._gap_chain_sums
+        monkeypatch.setattr(
+            periodicity, "_gap_chain_sums", lambda bv, m: calls.append(m) or real(bv, m)
+        )
+        m = 2**1000 + 1
+        continued_fraction_pq(MORSE, 256, m)
+        assert calls == [m]
 
     @given(wn=weights_and_depth())
     @settings(max_examples=100, deadline=None)

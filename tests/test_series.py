@@ -82,20 +82,20 @@ def test_kernel_matches_dp_on_both_sides_of_the_crossover(case):
 def test_crossover_selects_each_engine():
     n, h = kernel.SERIES_MIN_TERMS, kernel.SERIES_MIN_HEIGHT
     word = 1 << 61
-    assert kernel._series_wins(n, word, n)
-    assert kernel._series_wins(n, word, h)
-    assert not kernel._series_wins(n, word, h - 1)
-    assert not kernel._series_wins(n - 1, word, n - 1)
+    assert kernel.series_wins(n, word, n)
+    assert kernel.series_wins(n, word, h)
+    assert not kernel.series_wins(n, word, h - 1)
+    assert not kernel.series_wins(n - 1, word, n - 1)
     # wider moduli need more terms before the tree pays off
-    assert not kernel._series_wins(4 * n - 1, 1 << 127, 4 * n - 1)
-    assert kernel._series_wins(4 * n, 1 << 127, 4 * n)
+    assert not kernel.series_wins(4 * n - 1, 1 << 127, 4 * n - 1)
+    assert kernel.series_wins(4 * n, 1 << 127, 4 * n)
     # narrow moduli take the tree at every height once there are enough terms
     narrow = (1 << kernel.SERIES_NARROW_BITS) - 1
     for height in (0, 1, h - 1, h, n):
-        assert kernel._series_wins(n, narrow, height)
-        assert not kernel._series_wins(n - 1, narrow, height)
-    assert not kernel._series_wins(n, narrow + 2, h - 1)
-    assert kernel._series_wins(n, narrow + 2, h)
+        assert kernel.series_wins(n, narrow, height)
+        assert not kernel.series_wins(n - 1, narrow, height)
+    assert not kernel.series_wins(n, narrow + 2, h - 1)
+    assert kernel.series_wins(n, narrow + 2, h)
 
 
 @pytest.mark.parametrize(
@@ -110,7 +110,7 @@ def test_kernel_matches_dp_around_the_narrow_cut(m, n):
     assert narrow or m.bit_length() == kernel.SERIES_NARROW_BITS + 1
     for cap in range(4):
         h = kernel._check_args(bvals, n, m, cap)
-        assert kernel._series_wins(n, m, h) == (narrow and n >= kernel.SERIES_MIN_TERMS)
+        assert kernel.series_wins(n, m, h) == (narrow and n >= kernel.SERIES_MIN_TERMS)
         assert kernel.dyck_dp_mod(bvals, n, m, cap) == kernel._dyck_dp(bvals, n, m, h)
 
 
@@ -151,7 +151,8 @@ def test_full_leaves_with_the_largest_steps_do_not_overflow(m):
             assert max(a + b + c + d) < 1 << (8 * series._leaf_bytes(m, levels))
             got = series._matrix(steps, 0, count, m)
             assert got == tuple(_reduced(p, m) for p in (a, b, c, d))
-        got = series._fraction(steps, 0, count, m)
+        # weights 1 give steps -1 = m - 1
+        got = series.fraction_mod([1] * count, m, count)
         assert got == (_reduced(_poly_add(a, b), m), _reduced(_poly_add(c, d), m))
 
 
