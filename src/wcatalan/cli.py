@@ -13,7 +13,8 @@ import gc
 import json
 import sys
 import time
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 
 from . import catalan, morse, orbits, periodicity
 from .errors import DomainError, ResourceLimitError, WeightSpecError
@@ -46,12 +47,27 @@ def _parse_range(text: str) -> range:
 
 # CPython's C encoder, which json.dump leaves unused once `indent` is set.
 # With ensure_ascii on, no encoded token holds a raw newline, so every "\n"
-# in its output is this item separator and can be re-indented by replace.
+# in its output of a list of scalars follows this item separator: the list
+# can be re-indented by replace, or split into its encoded items.
 _ENCODER = json.JSONEncoder(separators=(",\n", ": "))
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-# Rows per C call.  The C encoder keeps every token as its own str until
-# it joins them, about 650 bytes per orbits row, so a batch peaks near 170 kB.
-_ROW_BATCH = 256
+# Rows per batch of `_write_rows`: one C call per column encodes a batch.
+# With its items split out and joined, a batch of orbits rows peaks near
+# 200 kB; batches of 1024 rows measured no faster.
+_COLUMN_BATCH = 512
+
+
+class _Table:
+    """A list of flat dicts with one key order, held column by column.
+
+    `columns` maps each key, in row order, to a list or tuple of its
+    `count` values, one per row, or to one scalar that every row holds.
+    """
+
+    __slots__ = ("count", "columns")
+
+    def __init__(self, count: int, columns: dict):
+        self.count, self.columns = count, columns
 
 
 def _encode_key(key) -> str:
@@ -65,44 +81,74 @@ def _encode_key(key) -> str:
     return _ENCODER.encode(key)
 
 
-def _write_rows(rows, write, indent: str) -> None:
-    """A non-empty list of non-empty flat dicts, in batches of C-encoded rows."""
+def _write_rows(table: _Table, write, indent: str) -> None:
+    """The rows of `table`, as json.dump(rows, out, indent=2) writes them.
+
+    Each batch encodes every column of values in one C call and splits the
+    text into its items; each row is then the key prefixes interleaved with
+    its items, and a batch is one join.  A scalar column is encoded once,
+    into the prefix that follows it.
+    """
+    if not table.count:
+        write("[]")
+        return
     row, field = indent + "  ", indent + "    "
-    boundary = "},\n" + field + "{"
-    split = "\n" + row + "},\n" + row + "{\n" + field
+    sep = ",\n" + row
+    heads, values = [], []
+    prefix = "{\n" + field
+    for name, column in table.columns.items():
+        prefix += _encode_key(name) + ": "
+        if isinstance(column, (list, tuple)):
+            heads.append(prefix)
+            values.append(column)
+            prefix = ""
+        else:
+            prefix += _ENCODER.encode(column)
+        prefix += ",\n" + field
+    tail = prefix[: -len(",\n" + field)] + "\n" + row + "}" + sep
     write("[\n" + row)
-    for start in range(0, len(rows), _ROW_BATCH):
-        if start:
-            write(",\n" + row)
-        text = _ENCODER.encode(rows[start : start + _ROW_BATCH])
-        text = text[2:-2].replace("\n", "\n" + field).replace(boundary, split)
-        write("{\n" + field + text + "\n" + row + "}")
+    for start in range(0, table.count, _COLUMN_BATCH):
+        stop = min(start + _COLUMN_BATCH, table.count)
+        parts = []
+        for head, column in zip(heads, values):
+            items = _ENCODER.encode(column[start:stop])[1:-1].split(",\n")
+            parts += (repeat(head, stop - start), items)
+        parts.append(repeat(tail, stop - start))
+        text = "".join(chain.from_iterable(zip(*parts)))
+        write(text if stop < table.count else text[: -len(sep)])
     write("\n" + indent + "]")
 
 
 def _write_json(obj, write, indent: str = "") -> None:
     """Write `obj` through `write` as the bytes of json.dump(obj, out, indent=2).
 
-    Flat runs go through the C encoder and are re-indented: a non-empty
-    list of scalars in one call, a non-empty list of non-empty dicts with
-    scalar values (the rows of orbits, valuation and check) in batches.
-    Everything else is walked here one level at a time, so the document
-    is never held as one string.
+    A `_Table` is written as its list of rows, column by column.  Flat runs
+    go through the C encoder: a non-empty list of scalars in one call and
+    re-indented, and a non-empty list of non-empty dicts with scalar values
+    and the same str keys in the same order (the rows of valuation and
+    check) as a `_Table`.  Everything else is walked here one level at a
+    time, so the document is never held as one string.
     """
     inner = indent + "  "
-    if isinstance(obj, (list, tuple)) and obj:
+    if isinstance(obj, _Table):
+        _write_rows(obj, write, indent)
+    elif isinstance(obj, (list, tuple)) and obj:
         kinds = set(map(type, obj))
         if kinds <= _SCALARS:
             text = _ENCODER.encode(obj)[1:-1].replace("\n", "\n" + inner)
             write("[\n" + inner + text + "\n" + indent + "]")
             return
-        if (
-            kinds == {dict}
-            and all(obj)
-            and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _SCALARS
-        ):
-            _write_rows(obj, write, indent)
-            return
+        if kinds == {dict} and all(obj):
+            # equal keys of other types may be spelled apart (1, 1.0, True)
+            names = tuple(obj[0])
+            if (
+                all(type(name) is str for name in names)
+                and all(tuple(item) == names for item in obj)
+                and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _SCALARS
+            ):
+                columns = {name: list(map(itemgetter(name), obj)) for name in names}
+                _write_rows(_Table(len(obj), columns), write, indent)
+                return
         sep = "[\n" + inner
         for item in obj:
             write(sep)
@@ -173,31 +219,26 @@ def _cmd_check(args, started) -> int:
 
 
 def _cmd_orbits(args, started) -> int:
-    shapes = (
-        orbits.minimal_orbits(args.n, args.q)
-        if args.minimal
-        else orbits.enumerate_orbits(args.n, args.q, max_n=args.max_orbit_n)
-    )
-    rows = []
-    for sh in shapes:
-        parens = sh.to_parens()
-        row = {
-            "shape": parens,
-            "size": orbits.orbit_size(sh),
-            "vertices": len(parens) // 2,
-        }
-        if args.reduce:
-            reduced, removed = orbits.reduce_orbit(sh)
-            row["reduced"] = reduced.to_parens()
-            row["removed"] = removed
-        rows.append(row)
+    # every orbit listed has n vertices, so "vertices" is one shared scalar
+    if args.minimal:
+        shapes = orbits.minimal_orbits(args.n, args.q)
+        parens = [sh.to_parens() for sh in shapes]
+        sizes = [orbits.orbit_size(sh) for sh in shapes]
+    else:
+        shapes = orbits.enumerate_orbits(args.n, args.q, max_n=args.max_orbit_n)
+        parens, sizes = shapes.parens, shapes.sizes
+    columns = {"shape": parens, "size": sizes, "vertices": args.n}
+    if args.reduce:
+        reduced = [orbits.reduce_orbit(sh) for sh in shapes]
+        columns["reduced"] = [sh.to_parens() for sh, _ in reduced]
+        columns["removed"] = [removed for _, removed in reduced]
     params = {
         "n": args.n,
         "q": args.q,
         "minimal": args.minimal,
         "reduce": args.reduce,
     }
-    _emit("orbits", params, rows, started)
+    _emit("orbits", params, _Table(len(parens), columns), started)
     return EXIT_OK
 
 
@@ -425,7 +466,7 @@ def main(argv=None) -> int:
         _PARSER = (build_parser, build_parser())
     args = _PARSER[1].parse_args(argv)
     started = time.perf_counter()
-    # A command builds large acyclic data (56,011 orbit shapes at n = 17)
+    # A command builds large acyclic data (56,011 orbit rows at n = 17)
     # and makes no reference cycles, so every pass of the cyclic collector
     # over it frees nothing: pause the collector for the command, and leave
     # it as the caller had it.

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -23,6 +24,7 @@ from .weights import EpsilonSequence, WeightFunction, WeightMembershipError
 
 __all__ = [
     "OrbitShape",
+    "OrbitTable",
     "enumerate_orbits",
     "orbit_size",
     "minimal_orbits",
@@ -112,8 +114,10 @@ class OrbitShape:
 
     The key lists each node's children sorted by their own keys, so two
     ordered trees lie in the same symmetry orbit exactly when their keys
-    agree.  The empty tree has key None.  A shape from `enumerate_orbits`
-    also carries its parens string and orbit size, built with its key.
+    agree.  The empty tree has key None.  A shape taken from an
+    `OrbitTable` also carries, in `_parens` and `_size`, the parens string
+    and orbit size its row was built with; `to_parens` and `orbit_size`
+    return those instead of computing them again.
     """
 
     q: int
@@ -216,11 +220,11 @@ def _check_branching(q: int) -> None:
 @lru_cache(maxsize=None)
 def _layer(n: int, q: int) -> tuple:
     """Every orbit on n >= 1 vertices as (key, parens, size); inner layers only."""
-    return tuple(_layer_rows(n, q))
+    return tuple(zip(*_layer_columns(n, q)))
 
 
-def _layer_rows(n: int, q: int) -> list:
-    """Every orbit on n >= 1 vertices as (key, parens, size), in canonical order.
+def _layer_columns(n: int, q: int) -> tuple[list, list, list]:
+    """Every orbit on n >= 1 vertices in canonical order: keys, parens, sizes.
 
     A root's children are chosen in nonincreasing (size, key) order: sizes
     from large to small, each size in its own layer's order, and a child of
@@ -231,18 +235,20 @@ def _layer_rows(n: int, q: int) -> list:
     of each multiplicity.  The smaller layers come from `_layer`.
     """
     if n == 1:
-        return [((), "()", 1)]
+        return [()], ["()"], [1]
     layers = [()] + [_layer(s, q) for s in range(1, n)]
-    rows = []
-    _fill_rows(rows.append, layers, n - 1, q, n, None, 0, 1, (), ())
-    return rows
+    keys, parens, sizes = [], [], []
+    emit = (keys.append, parens.append, sizes.append)
+    _fill_rows(emit, layers, n - 1, q, n, None, 0, 1, (), ())
+    return keys, parens, sizes
 
 
 def _fill_rows(emit, layers, total, slots, top, prev, run, size, keys, parens):
     """Emit every row that completes a root with `total` vertices left to place.
 
-    keys and parens: the j children so far, sorted by key; prev: the last
-    one chosen, and run its multiplicity so far; size: q (q-1) ... (q-j+1)
+    emit: the appenders of the key, parens and size columns.  keys and
+    parens: the j children so far, sorted by key; prev: the last one
+    chosen, and run its multiplicity so far; size: q (q-1) ... (q-j+1)
     times their sizes over the factorials of their multiplicities.  The
     next child has at most `top` vertices, and a key no larger than prev's
     if it has `top`.  This and the other recursions here are module-level
@@ -250,6 +256,7 @@ def _fill_rows(emit, layers, total, slots, top, prev, run, size, keys, parens):
     its cell, a reference cycle that outlives the call until the cyclic
     collector runs, and `cli.main` pauses that collector.
     """
+    emit_key, emit_parens, emit_size = emit
     for width in range(min(total, top), 0, -1):
         if width * slots < total:
             break  # the slots left cannot hold the vertices left
@@ -269,11 +276,13 @@ def _fill_rows(emit, layers, total, slots, top, prev, run, size, keys, parens):
                     other = last[0]
                     if twin and other > key:
                         continue
-                    both = grown // 2 * last[2] if last is child else grown * last[2]
+                    emit_size(grown // 2 * last[2] if last is child else grown * last[2])
                     if other < key:
-                        emit(((other, key), f"({last[1]}{text})", both))
+                        emit_key((other, key))
+                        emit_parens(f"({last[1]}{text})")
                     else:
-                        emit(((key, other), f"({text}{last[1]})", both))
+                        emit_key((key, other))
+                        emit_parens(f"({text}{last[1]})")
                 continue
             if keys:
                 i = bisect_right(keys, key)
@@ -284,28 +293,63 @@ def _fill_rows(emit, layers, total, slots, top, prev, run, size, keys, parens):
             if rest:
                 _fill_rows(emit, layers, rest, slots - 1, width, child, mult, grown, kids, texts)
             else:
-                emit((kids, "(" + "".join(texts) + ")", grown))
+                emit_key(kids)
+                emit_parens("(" + "".join(texts) + ")")
+                emit_size(grown)
 
 
-def enumerate_orbits(n: int, q: int = 2, max_n: int | None = None) -> list[OrbitShape]:
-    """All orbits of trees on n vertices, as canonical shapes.
+class OrbitTable(Sequence):
+    """The orbits on n vertices as three columns: keys, parens strings, sizes.
 
-    Each shape carries the parens string and size it was built with.  At
-    most `max_n` vertices are allowed, `enum_cap(q)` by default.
+    An immutable sequence of `OrbitShape`: indexing and iteration build
+    each shape when it is asked for, carrying its parens string and size.
+    A caller that needs only the strings and sizes reads the `parens` and
+    `sizes` columns and builds no shape at all.
+    """
+
+    __slots__ = ("q", "keys", "parens", "sizes")
+
+    def __init__(self, q: int, keys, parens, sizes):
+        self.q = q
+        self.keys, self.parens, self.sizes = tuple(keys), tuple(parens), tuple(sizes)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return OrbitTable(self.q, self.keys[index], self.parens[index], self.sizes[index])
+        return OrbitShape(self.q, self.keys[index], self.parens[index], self.sizes[index])
+
+    def __iter__(self):
+        q = self.q
+        for key, parens, size in zip(self.keys, self.parens, self.sizes):
+            yield OrbitShape(q, key, parens, size)
+
+
+def enumerate_orbits(n: int, q: int = 2, max_n: int | None = None) -> OrbitTable:
+    """All orbits of trees on n vertices, in canonical order.
+
+    The orbits come as an `OrbitTable`: its `parens` and `sizes` columns
+    hold each orbit's parens string and size, and each shape taken from it
+    carries both.  At most `max_n` vertices are allowed, `enum_cap(q)` by
+    default; a negative `max_n` is a domain error.
     """
     _check_branching(q)
     if n < 0:
         raise DomainError("vertex count must be nonnegative")
     if max_n is None:
         max_n = enum_cap(q)
+    if max_n < 0:
+        raise DomainError(f"orbit enumeration cap must be nonnegative, got {max_n}")
     if n > max_n:
         raise ResourceLimitError(
             f"orbit enumeration capped at {max_n} vertices (requested {n});"
             " raise the cap explicitly to go further"
         )
     if n == 0:
-        return [OrbitShape.empty(q)]
-    return [OrbitShape(q, key, parens, size) for key, parens, size in _layer_rows(n, q)]
+        return OrbitTable(q, (None,), ("",), (1,))
+    return OrbitTable(q, *_layer_columns(n, q))
 
 
 def orbit_size(shape: OrbitShape) -> int:

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from wcatalan import cli, orbits
 from wcatalan.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, main
 
+from test_envelopes import CASES, case
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -118,6 +120,23 @@ class TestOrbits:
     def test_cap_override(self, capsys):
         env = run_json(capsys, "orbits", "--n", "17", "--max-orbit-n", "17")
         assert len(env["result"]) == 56011
+
+    def test_enumeration_builds_no_shape(self, capsys, monkeypatch):
+        # the rows go from the enumerator's columns to the writer; only
+        # --reduce, which reduces each shape, builds them
+        built = []
+        init = orbits.OrbitShape.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(orbits.OrbitShape, "__init__", counted)
+        env = run_json(capsys, "orbits", "--n", "10")
+        assert len(env["result"]) == 207 and built == []
+        command = "orbits --n 7 --reduce"
+        assert case(command) == next(c for c in CASES if c[0] == command)
+        assert built
 
     @pytest.mark.parametrize("q, cap", [(2, 16), (3, 14), (4, 13), (8, 13)])
     def test_cap_depends_on_q(self, capsys, q, cap):

@@ -60,8 +60,37 @@ def test_writer_refuses_what_json_refuses(obj):
 
 
 def test_rows_across_batches_match_indented_json_dumps():
-    rows = [{"shape": "()" * i, "size": i} for i in range(2 * cli._ROW_BATCH + 1)]
-    assert written({"result": rows}) == json.dumps({"result": rows}, indent=2)
+    for count in (cli._COLUMN_BATCH, 2 * cli._COLUMN_BATCH + 1):
+        rows = [{"shape": "()" * i, "size": i} for i in range(count)]
+        assert written({"result": rows}) == json.dumps({"result": rows}, indent=2)
+
+
+def test_rows_whose_key_order_changes_mid_list():
+    rows = [{"a": i, "b": str(i)} for i in range(5)]
+    rows[3] = {"b": "3", "a": 3}
+    rows.append({"a": 5})
+    assert written(rows) == json.dumps(rows, indent=2)
+    # keys that compare equal but are spelled apart
+    rows = [{1: "a"}, {True: "b"}, {1.0: "c"}, {0.0: "d"}, {-0.0: "e"}]
+    assert written(rows) == json.dumps(rows, indent=2)
+
+
+def test_row_keys_with_format_characters():
+    keys = ["{", "}", "%", "%s", "{0}", "", "%%d", '"\n"']
+    rows = [{k: f"{k}{i}" if i % 2 else i for k in keys} for i in range(3)]
+    rows += [{k: v for k, v in rows[0].items()}]
+    assert written({"rows": rows}) == json.dumps({"rows": rows}, indent=2)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 2 * cli._COLUMN_BATCH + 1])
+def test_table_with_shared_scalars_matches_its_rows(count):
+    columns = {"%": 7, "shape": ["(" * i + ")" * i for i in range(count)], "{": None,
+               "size": tuple(range(count)), "": "x"}
+    rows = [
+        {k: v[i] if isinstance(v, (list, tuple)) else v for k, v in columns.items()}
+        for i in range(count)
+    ]
+    assert written({"r": cli._Table(count, columns)}) == json.dumps({"r": rows}, indent=2)
 
 
 def test_emit_streams_the_orbits_envelope(tmp_path, monkeypatch, capsys):

@@ -114,6 +114,9 @@ CASES = [
     ('orbits --q 4 --n 9', 0, '', '3720cf123b102152'),
     ('orbits --q 5 --n 8 --reduce', 0, '', '78fcd7b8f2547808'),
     ('orbits --n 12 --max-orbit-n 5', 4, 'error: orbit enumeration capped at 5 vertices (requested 12); raise the cap explicitly to go further\n', 'e3b0c44298fc1c14'),
+    # a negative cap is malformed input, refused before any enumeration;
+    # it exited 4 with "capped at -1 vertices"
+    ('orbits --n 0 --max-orbit-n -1', 3, 'error: orbit enumeration cap must be nonnegative, got -1\n', 'e3b0c44298fc1c14'),
     # the default cap depends on q: 14 at q = 3 and 13 at q >= 4; both
     # commands ran with exit 0 while the cap was 16 for every q
     ('orbits --q 3 --n 15', 4, 'error: orbit enumeration capped at 14 vertices (requested 15); raise the cap explicitly to go further\n', 'e3b0c44298fc1c14'),

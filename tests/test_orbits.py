@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -15,7 +16,7 @@ from wcatalan.errors import DomainError, ResourceLimitError
 from wcatalan.orbits import (
     OrbitShape,
     _layer,
-    _layer_rows,
+    _layer_columns,
     _ordered_representative,
     average_weight,
     coin_oracle,
@@ -135,6 +136,49 @@ class TestEnumeration:
     def test_ternary_counts(self):
         # unordered rooted trees with <= 3 children: 1, 1, 1, 2, 4, 8, 17, 39
         assert [len(enumerate_orbits(n, q=3)) for n in range(8)] == [1, 1, 1, 2, 4, 8, 17, 39]
+
+
+class TestOrbitTable:
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_sequence_contract(self, q):
+        for n in range(10):
+            table = enumerate_orbits(n, q)
+            assert isinstance(table, Sequence)
+            # the list enumeration returned before it returned a table
+            old = (
+                [OrbitShape.empty(q)]
+                if n == 0
+                else [OrbitShape(q, key, parens, size) for key, parens, size in _layer(n, q)]
+            )
+            shapes = list(table)
+            assert len(table) == len(old) == (1 if n == 0 else tree_count(n, q))
+            assert shapes == old
+            assert [table[i] for i in range(len(table))] == old
+            assert [table[i - len(table)] for i in range(len(table))] == old
+            assert list(table[1:]) == old[1:] and list(table[::-1]) == old[::-1]
+            for i in (len(table), -len(table) - 1):
+                with pytest.raises(IndexError):
+                    table[i]
+            assert [s.key for s in shapes] == [s.key for s in old] == list(table.keys)
+            # what each shape carries is what a shape built from its key computes
+            plain = [OrbitShape(q, s.key) for s in shapes]
+            assert [s.to_parens() for s in shapes] == [s.to_parens() for s in plain]
+            assert [s.to_parens() for s in shapes] == list(table.parens)
+            assert [orbit_size(s) for s in shapes] == [orbit_size(s) for s in plain]
+            assert [orbit_size(s) for s in shapes] == list(table.sizes)
+
+    def test_immutable(self):
+        table = enumerate_orbits(5)
+        with pytest.raises(TypeError):
+            table[0] = table[1]
+        with pytest.raises(AttributeError):
+            table.extra = 1
+        assert all(isinstance(c, tuple) for c in (table.keys, table.parens, table.sizes))
+
+    def test_negative_cap_is_a_domain_error(self):
+        for n in (0, 3):
+            with pytest.raises(DomainError, match="cap must be nonnegative, got -1"):
+                enumerate_orbits(n, 2, max_n=-1)
 
 
 class TestOrbitSize:
@@ -670,7 +714,7 @@ def test_recursions_leave_no_cyclic_garbage():
     collecting = gc.isenabled()
     gc.disable()
     try:
-        _layer_rows(12, 2)
+        _layer_columns(12, 2)
         reduce_orbit(shape)
         _ordered_representative(shape.key)
         epsilon_recursive(shape, eps_b, 3)
