@@ -652,11 +652,7 @@ def coin_oracle(
             f"need weight carry entries up to order {m + n_v - 1}, got {len(bits_b)}"
         )
     children, subtree = _ordered_representative(shape.key)
-    free_terms = [
-        (combo, _multinomial(m, combo) % 2)
-        for combo in _compositions(m, n_v)
-        if _multinomial(m, combo) % 2
-    ]
+    odd_combos = [combo for combo in _compositions(m, n_v) if _multinomial(m, combo) % 2]
     total = 0
     for picks in itertools.product(*[[None] + children[v] for v in range(n_v)]):
         chosen = [c for c in picks if c is not None]
@@ -664,7 +660,7 @@ def coin_oracle(
             counts = [0] * n_v
             for vtx in assignment:
                 counts[vtx] += 1
-            for combo, _ in free_terms:
+            for combo in odd_combos:
                 w = 1
                 for v in range(n_v):
                     w *= bits_b[counts[v] + combo[v]]

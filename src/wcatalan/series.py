@@ -1,14 +1,18 @@
 """Truncated power series over Z/mZ and the S-fraction residue engine.
 
 Polynomials are lists of coefficients, lowest degree first, reduced into
-[0, m).  Products go through Kronecker substitution: each operand is packed
-into one Python int with a fixed-width slot per coefficient, wide enough
-that no slot of the product overflows, so a single big-int multiply (done
-in C) replaces the quadratic coefficient loop.  A slot of at most 8 bytes
-is rounded up to 1, 2, 4 or 8 bytes, so that packing and unpacking is one
-`array` conversion plus one pass of `% m`; wider slots are cut out of the
-byte string one coefficient at a time.  `fits_word` tells a caller whether
-a modulus keeps every slot of a product within one 64-bit word.
+[0, m).  Every product is one call of `_matmul`, which multiplies rows by
+columns of one or two polynomials through Kronecker substitution: each
+operand is packed once into one Python int with a fixed-width slot per
+coefficient, wide enough that no slot of an entry overflows, so an entry
+costs one or two big-int multiplies (done in C) in place of the quadratic
+coefficient loop, and is unpacked once.  `mul_mod` is its 1x1 case, the
+product tree's matrix combine its 2x2 by 2x2 case and the fraction spine
+its 2x2 by 2x1 case.  A slot of at most 8 bytes is rounded up to 1, 2, 4
+or 8 bytes, so that packing and unpacking is one `array` conversion plus
+one pass of `% m`; wider slots are cut out of the byte string one
+coefficient at a time.  `fits_word` tells a caller whether a modulus keeps
+every slot of a product within one 64-bit word.
 
 The weighted Catalan generating function is the S-fraction (Flajolet 1980)
 
@@ -25,11 +29,13 @@ Kung 1974) to half the order with one correction step (Karp and Markstein
 1997) divides, in O(M(n) log h) for polynomial multiplication time M(n),
 against O(n h) for the Dyck DP in `kernel`.
 
-The leaves of the tree, blocks of up to 32 levels, are multiplied out on
-packed ints with no reduction: with steps in [0, m), x is a shift by one
-slot and each level costs four big-int operations.  Their slots are wide
-enough for the exact block, and each block is reduced once, when it is
-unpacked; above the leaves every product is reduced.
+The leaves of the tree, blocks of up to 32 levels, are multiplied out by
+one loop, `_leaf`, on packed ints with no reduction: from the identity, with
+steps in [0, m), x is a shift by one slot and each level costs four big-int
+operations.  Its slots are wide enough for the exact block and for A + B
+and C + D; a leaf is reduced once, when it is unpacked, all four entries
+for a matrix and the two sums for the fraction spine.  Above the leaves
+every product is reduced.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import zip_longest
+from operator import mul
 
 __all__ = ["fits_word", "mul_mod", "inverse_mod", "fraction_mod", "dyck_series_mod"]
 
@@ -81,11 +88,6 @@ def _leaf_bytes(modulus: int, levels: int) -> int:
     return _round_slot(levels + (levels + 1) // 2 * (modulus - 1).bit_length())
 
 
-def _unpack_all(packed: int, width: int, modulus: int) -> list[int]:
-    """Every slot of `packed`, reduced mod `modulus`, trailing zeros dropped."""
-    return _unpack(packed, width, -(-packed.bit_length() // (8 * width)), modulus)
-
-
 def _pack(coeffs: list[int], width: int) -> int:
     if width > _WORD_BYTES:
         return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
@@ -95,11 +97,17 @@ def _pack(coeffs: list[int], width: int) -> int:
     return int.from_bytes(words.tobytes(), "little")
 
 
-def _unpack(packed: int, width: int, count: int, modulus: int) -> list[int]:
+def _unpack(packed: int, width: int, count: int | None, modulus: int) -> list[int]:
+    """Slots of `packed` reduced mod `modulus`, trailing zeros dropped.
+
+    The first `count` slots, or all of them for None; no slot above the
+    highest nonzero one is read.
+    """
+    slots = -(-packed.bit_length() // (8 * width))
+    count = slots if count is None else min(count, slots)
     if count <= 0:
         return []
-    total = max(count, (packed.bit_length() + 8 * width - 1) // (8 * width))
-    data = packed.to_bytes(total * width, "little")
+    data = packed.to_bytes(slots * width, "little")
     if width > _WORD_BYTES:
         read = int.from_bytes
         out = [read(data[i : i + width], "little") % modulus for i in range(0, count * width, width)]
@@ -114,6 +122,30 @@ def _unpack(packed: int, width: int, count: int, modulus: int) -> list[int]:
     return out
 
 
+def _matmul(rows, cols, modulus: int, size: int | None = None) -> list[list[int]]:
+    """Every entry sum_k row[k] col[k] over Z/mZ of `rows` times `cols`, row by row.
+
+    Rows and columns hold one or two polynomials each, with coefficients in
+    [0, m); an entry keeps at most `size` terms, trailing zeros dropped.
+    Each operand is packed once, at one slot width: `_slot_bytes` of the
+    largest min(len f, len g) over the pairs.  Each entry is one big-int
+    product or the sum of two, unpacked once.
+    """
+    if len(rows) == len(cols) == len(rows[0]) == 1:
+        # one pair skips the containers, which cost a 4-term product half again
+        (f,), (g,) = rows[0], cols[0]
+        width = _slot_bytes(modulus, min(len(f), len(g)))
+        return [_unpack(_pack(f, width) * _pack(g, width), width, size, modulus)]
+    terms = max([min(len(f), len(g)) for row in rows for col in cols for f, g in zip(row, col)])
+    width = _slot_bytes(modulus, terms)
+    packed_cols = [[_pack(g, width) for g in col] for col in cols]
+    return [
+        _unpack(sum(map(mul, packed_row, packed_col)), width, size, modulus)
+        for packed_row in [[_pack(f, width) for f in row] for row in rows]
+        for packed_col in packed_cols
+    ]
+
+
 def mul_mod(f: list[int], g: list[int], modulus: int, size: int | None = None) -> list[int]:
     """f * g over Z/mZ, keeping at most `size` terms; coefficients in [0, m).
 
@@ -121,11 +153,7 @@ def mul_mod(f: list[int], g: list[int], modulus: int, size: int | None = None) -
     """
     if not f or not g:
         return []
-    width = _slot_bytes(modulus, min(len(f), len(g)))
-    count = len(f) + len(g) - 1
-    if size is not None:
-        count = min(count, size)
-    return _unpack(_pack(f, width) * _pack(g, width), width, count, modulus)
+    return _matmul(((f,),), ((g,),), modulus, size)[0]
 
 
 def inverse_mod(f: list[int], modulus: int, order: int) -> list[int]:
@@ -147,61 +175,47 @@ def inverse_mod(f: list[int], modulus: int, order: int) -> list[int]:
     return g + [0] * (order - len(g))
 
 
+def _leaf(steps: list[int], lo: int, hi: int, modulus: int):
+    """M_lo ... M_(hi-1) multiplied out exactly on packed ints: (width, A, B, C, D).
+
+    x is a shift by one slot, and nothing is reduced until an entry is
+    unpacked.  The slots of `_leaf_bytes` hold every entry, and A + B and
+    C + D too: a coefficient of either sum also adds at most 2^levels
+    products of non-adjacent steps.
+    """
+    width = _leaf_bytes(modulus, hi - lo)
+    shift = 8 * width
+    a, b, c, d = 1, 0, 0, 1
+    for s in steps[lo:hi]:
+        # [[a, b], [c, d]] [[0, 1], [s x, 1]] = [[s x b, a + b], [s x d, c + d]]
+        a, b, c, d = (s * b) << shift, a + b, (s * d) << shift, c + d
+    return width, a, b, c, d
+
+
 def _matrix(steps: list[int], lo: int, hi: int, modulus: int):
     """M_lo M_(lo+1) ... M_(hi-1) as (A, B, C, D), with M_k = [[0, 1], [steps[k] x, 1]]."""
     if hi - lo <= _LEAF_LEVELS:
-        width = _leaf_bytes(modulus, hi - lo)
-        shift = 8 * width
-        # exact packed entries: x is a shift by one slot, and nothing is
-        # reduced until the block is unpacked
-        a, b, c, d = 0, 1, steps[lo] << shift, 1
-        for s in steps[lo + 1 : hi]:
-            # [[a, b], [c, d]] [[0, 1], [s x, 1]] = [[s x b, a + b], [s x d, c + d]]
-            a, b, c, d = (s * b) << shift, a + b, (s * d) << shift, c + d
-        return tuple(_unpack_all(p, width, modulus) for p in (a, b, c, d))
+        width, *block = _leaf(steps, lo, hi, modulus)
+        return tuple(_unpack(p, width, None, modulus) for p in block)
     mid = (lo + hi) // 2
     a1, b1, c1, d1 = _matrix(steps, lo, mid, modulus)
     a2, b2, c2, d2 = _matrix(steps, mid, hi, modulus)
-    width = _slot_bytes(modulus, max(map(len, (a1, b1, c1, d1, a2, b2, c2, d2))))
-    pa1, pb1, pc1, pd1, pa2, pb2, pc2, pd2 = (
-        _pack(p, width) for p in (a1, b1, c1, d1, a2, b2, c2, d2)
-    )
-    la = max(len(a1) + len(a2), len(b1) + len(c2)) - 1
-    lb = max(len(a1) + len(b2), len(b1) + len(d2)) - 1
-    lc = max(len(c1) + len(a2), len(d1) + len(c2)) - 1
-    ld = max(len(c1) + len(b2), len(d1) + len(d2)) - 1
-    return (
-        _unpack(pa1 * pa2 + pb1 * pc2, width, la, modulus),
-        _unpack(pa1 * pb2 + pb1 * pd2, width, lb, modulus),
-        _unpack(pc1 * pa2 + pd1 * pc2, width, lc, modulus),
-        _unpack(pc1 * pb2 + pd1 * pd2, width, ld, modulus),
-    )
+    return tuple(_matmul(((a1, b1), (c1, d1)), ((a2, c2), (b2, d2)), modulus))
 
 
 def _fraction(steps: list[int], lo: int, hi: int, modulus: int):
     """(A + B, C + D) for M_lo ... M_(hi-1): the product applied to (1, 1).
 
     Only the left halves need whole matrices; the right spine carries the
-    vector, which is the bottom-up continued fraction y -> (v, v + s x u).
+    vector.
     """
     if hi - lo <= _LEAF_LEVELS:
-        width = _leaf_bytes(modulus, hi - lo)
-        shift = 8 * width
-        u, v = 1, 1
-        for s in reversed(steps[lo:hi]):
-            u, v = v, v + ((s * u) << shift)
-        return _unpack_all(u, width, modulus), _unpack_all(v, width, modulus)
+        width, a, b, c, d = _leaf(steps, lo, hi, modulus)
+        return _unpack(a + b, width, None, modulus), _unpack(c + d, width, None, modulus)
     mid = (lo + hi) // 2
     a, b, c, d = _matrix(steps, lo, mid, modulus)
     u, v = _fraction(steps, mid, hi, modulus)
-    width = _slot_bytes(modulus, max(map(len, (a, b, c, d, u, v))))
-    pa, pb, pc, pd, pu, pv = (_pack(p, width) for p in (a, b, c, d, u, v))
-    lu = max(len(a) + len(u), len(b) + len(v)) - 1
-    lv = max(len(c) + len(u), len(d) + len(v)) - 1
-    return (
-        _unpack(pa * pu + pb * pv, width, lu, modulus),
-        _unpack(pc * pu + pd * pv, width, lv, modulus),
-    )
+    return tuple(_matmul(((a, b), (c, d)), ((u, v),), modulus))
 
 
 def fraction_mod(bvals, modulus: int, height: int) -> tuple[list[int], list[int]]:

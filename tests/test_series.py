@@ -124,8 +124,8 @@ def _poly_add(f, g):
 
 def _exact_block(steps):
     """M_0 ... M_(L-1) over Z[x] as (A, B, C, D), coefficient lists."""
-    a, b, c, d = [], [1], [0, steps[0]], [1]
-    for s in steps[1:]:
+    a, b, c, d = [1], [], [], [1]
+    for s in steps:
         # [[a, b], [c, d]] [[0, 1], [s x, 1]] = [[s x b, a + b], [s x d, c + d]]
         sxb, sxd = [0] + [s * v for v in b], [0] + [s * v for v in d]
         a, b, c, d = sxb, _poly_add(a, b), sxd, _poly_add(c, d)
@@ -144,13 +144,16 @@ def test_full_leaves_with_the_largest_steps_do_not_overflow(m):
     """A leaf block is multiplied out exactly in packed slots; with every step
     m - 1 its coefficients are the largest a slot must hold."""
     levels = series._LEAF_LEVELS
-    for count in (levels, 2 * levels + 1):  # one full leaf; full leaves below a root
+    # an empty and a one-level block; one full leaf; full leaves below a root
+    for count in (0, 1, levels, 2 * levels + 1):
         steps = [m - 1] * count
         a, b, c, d = _exact_block(steps)
-        if count == levels:
-            assert max(a + b + c + d) < 1 << (8 * series._leaf_bytes(m, levels))
-            got = series._matrix(steps, 0, count, m)
-            assert got == tuple(_reduced(p, m) for p in (a, b, c, d))
+        if count <= levels:
+            # the leaf's slots hold every entry, and A + B and C + D
+            sums = _poly_add(a, b) + _poly_add(c, d)
+            assert max(a + b + c + d + sums) < 1 << (8 * series._leaf_bytes(m, count))
+        got = series._matrix(steps, 0, count, m)
+        assert got == tuple(_reduced(p, m) for p in (a, b, c, d))
         # weights 1 give steps -1 = m - 1
         got = series.fraction_mod([1] * count, m, count)
         assert got == (_reduced(_poly_add(a, b), m), _reduced(_poly_add(c, d), m))
@@ -230,12 +233,13 @@ def _schoolbook(f, g, m):
     return out
 
 
-@given(MODULI, st.data())
+@given(MODULI, st.data(), st.one_of(st.none(), st.integers(0, 80)))
 @settings(max_examples=60, deadline=None)
-def test_kronecker_product_matches_schoolbook(m, data):
+def test_kronecker_product_matches_schoolbook(m, data, size):
+    """Operands of independent lengths, empty ones included, cut to `size` terms."""
     coeffs = st.lists(st.integers(0, m - 1), max_size=40)
     f, g = data.draw(coeffs), data.draw(coeffs)
-    assert series.mul_mod(f, g, m) == _schoolbook(f, g, m)
+    assert series.mul_mod(f, g, m, size) == _reduced(_schoolbook(f, g, m)[:size], m)
 
 
 @given(MODULI, st.data(), st.integers(0, 50))
