@@ -1,16 +1,16 @@
 """Exact integer utilities shared across the package.
 
 Everything here is arbitrary-precision and pure: valuations and digit
-sums, finite-difference windows with shift bookkeeping, integer
-polynomials, and the exact power-series division that the tests use as the
-reference for the residue engine in `series`.
+sums, finite-difference windows with shift bookkeeping, a primality test,
+integer polynomials, and the exact power-series division that the tests
+use as the reference for the residue engine in `series`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 __all__ = [
     "ValueTable",
@@ -18,7 +18,6 @@ __all__ = [
     "valuation",
     "digit_sum",
     "finite_difference",
-    "newton_coefficients",
     "is_prime",
     "series_divide_exact",
 ]
@@ -128,35 +127,36 @@ def finite_difference(table: ValueTable, order: int) -> ValueTable:
     return ValueTable(table.base_point, tuple(vals))
 
 
-def newton_coefficients(table: ValueTable) -> list[int]:
-    """Iterated differences evaluated at 0, for a window starting at 0.
-
-    These are the coefficients in f(x) = sum_j c[j] * C(x, j), so they
-    pin down a polynomial completely once the window covers its degree.
-    """
-    if table.base_point != 0:
-        raise DomainError("newton coefficients need a window based at 0")
-    out = []
-    vals = list(table.values)
-    while vals:
-        out.append(vals[0])
-        vals = [b - a for a, b in zip(vals, vals[1:])]
-    return out
-
-
 def is_prime(p: int) -> bool:
-    """Trial-division primality test; inputs here are desk-scale."""
+    """Miller-Rabin primality test with the 13 prime bases 2..41.
+
+    The verdict is exact below 3317044064679887385961981, the least strong
+    pseudoprime to all 13 bases (Sorenson and Webster, "Strong pseudoprimes
+    to twelve prime bases", Math. Comp. 2017).  Larger inputs are refused
+    with a resource-limit error rather than answered by a guess.
+    """
+    if p >= 3317044064679887385961981:
+        raise ResourceLimitError(
+            f"primality is decided below 3317044064679887385961981 only, got {p}"
+        )
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in bases:
+        if p % a == 0:
+            return p == a
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s d with d odd
+    d = (p - 1) >> s
+    for a in bases:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -15,12 +15,12 @@ import itertools
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import ValueTable, finite_difference
+from .arith import ValueTable
 from .errors import DomainError, ResourceLimitError
-from .weights import EpsilonSequence, WeightFunction, WeightMembershipError
+from .weights import EpsilonSequence, WeightFunction, WeightMembershipError, _carry_bits
 
 __all__ = [
     "OrbitShape",
@@ -114,16 +114,11 @@ class OrbitShape:
 
     The key lists each node's children sorted by their own keys, so two
     ordered trees lie in the same symmetry orbit exactly when their keys
-    agree.  The empty tree has key None.  A shape taken from an
-    `OrbitTable` also carries, in `_parens` and `_size`, the parens string
-    and orbit size its row was built with; `to_parens` and `orbit_size`
-    return those instead of computing them again.
+    agree.  The empty tree has key None.
     """
 
     q: int
     key: tuple | None
-    _parens: str | None = field(default=None, compare=False, repr=False)
-    _size: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         _check_branching(self.q)
@@ -171,11 +166,8 @@ class OrbitShape:
         """Nested-parentheses encoding, children in canonical order.
 
         Rendered by C-level string work on the key's repr, with no Python
-        recursion, unless the shape carries it; the string has two
-        characters per vertex.
+        recursion; the string has two characters per vertex.
         """
-        if self._parens is not None:
-            return self._parens
         if self.key is None:
             return ""
         return repr(self.key).translate(_PARENS_ONLY)
@@ -302,9 +294,9 @@ class OrbitTable(Sequence):
     """The orbits on n vertices as three columns: keys, parens strings, sizes.
 
     An immutable sequence of `OrbitShape`: indexing and iteration build
-    each shape when it is asked for, carrying its parens string and size.
-    A caller that needs only the strings and sizes reads the `parens` and
-    `sizes` columns and builds no shape at all.
+    each shape from its key when it is asked for.  A caller that needs only
+    the strings and sizes reads the `parens` and `sizes` columns and builds
+    no shape at all.
     """
 
     __slots__ = ("q", "keys", "parens", "sizes")
@@ -319,21 +311,19 @@ class OrbitTable(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return OrbitTable(self.q, self.keys[index], self.parens[index], self.sizes[index])
-        return OrbitShape(self.q, self.keys[index], self.parens[index], self.sizes[index])
+        return OrbitShape(self.q, self.keys[index])
 
     def __iter__(self):
-        q = self.q
-        for key, parens, size in zip(self.keys, self.parens, self.sizes):
-            yield OrbitShape(q, key, parens, size)
+        return (OrbitShape(self.q, key) for key in self.keys)
 
 
 def enumerate_orbits(n: int, q: int = 2, max_n: int | None = None) -> OrbitTable:
     """All orbits of trees on n vertices, in canonical order.
 
     The orbits come as an `OrbitTable`: its `parens` and `sizes` columns
-    hold each orbit's parens string and size, and each shape taken from it
-    carries both.  At most `max_n` vertices are allowed, `enum_cap(q)` by
-    default; a negative `max_n` is a domain error.
+    hold each orbit's parens string and size.  At most `max_n` vertices
+    are allowed, `enum_cap(q)` by default; a negative `max_n` is a domain
+    error.
     """
     _check_branching(q)
     if n < 0:
@@ -360,11 +350,8 @@ def orbit_size(shape: OrbitShape) -> int:
     interchangeable.  The orbit size is the product over all nodes.  The
     children of a key are sorted, so equal children form adjacent runs;
     inner subtrees are sized once each through `_subtree_size`, and the
-    top-level key is not stored.  A shape from `enumerate_orbits` carries
-    its size.
+    top-level key is not stored.
     """
-    if shape._size is not None:
-        return shape._size
     if shape.is_empty:
         return 1
     return _node_size(shape.key, shape.q)
@@ -497,33 +484,14 @@ def _avg_values(key, q: int, b: WeightFunction, start: int, length: int) -> list
 def epsilon_direct(shape: OrbitShape, b: WeightFunction, max_m: int) -> EpsilonSequence:
     """Orbit carry bits straight from the definition.
 
-    Computes the average weight on a window, then reads off
-    (diff^m r / q^m) mod q for each m, asserting that the residue is
-    constant across the window.
+    Computes the average weight on x = 0..max_m + 1 and reads
+    (diff^m r / q^m) mod q off it by the difference scan that certifies a
+    table weight in `epsilon_of_weight`.
     """
     if max_m < 0:
         raise DomainError("max order must be nonnegative")
-    q = shape.q
     table = average_weight(shape, b, 0, max_m + 2)
-    bits = []
-    for m in range(max_m + 1):
-        diff = finite_difference(table, m)
-        qm = q**m
-        residues = set()
-        for i, v in enumerate(diff.values):
-            if v % qm:
-                raise WeightMembershipError(
-                    f"orbit average violates {q}^{m} | diff^{m} at x={i};"
-                    " weight outside F"
-                )
-            residues.add((v // qm) % q)
-        if len(residues) != 1:
-            raise WeightMembershipError(
-                f"order-{m} difference of the orbit average is not constant"
-                f" modulo {q}^{m + 1}; weight outside F"
-            )
-        bits.append(residues.pop())
-    return EpsilonSequence(q, tuple(bits))
+    return _carry_bits(table, shape.q, max_m)
 
 
 def _compositions(total: int, parts: int):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .arith import ValueTable, digit_sum, finite_difference, newton_coefficients
+from .arith import ValueTable, digit_sum, finite_difference, is_prime
 from .errors import DomainError, WeightSpecError
 
 __all__ = [
@@ -193,20 +193,57 @@ class EpsilonSequence:
         return iter(self.bits)
 
 
-def weight_newton_coefficients(b: WeightFunction) -> list[int]:
-    """Difference coefficients of a polynomial weight at 0, one per order."""
-    if not b.is_polynomial:
-        raise DomainError("newton coefficients are exact for polynomial weights only")
-    return newton_coefficients(b.as_table(0, b.degree + 1))
+def _difference_scan(window, base, exponent, first_order=0, last_order=None):
+    """Walk diff^0, diff^1, ... of a `ValueTable` as one chain of first differences.
+
+    The walk ends after last_order (None: no bound), at the window's last
+    order, or at the first row of zeros, whose differences are all zero.
+    Yields (n, head, miss) for each order n >= first_order: head is diff^n
+    at the window's first point, and miss is (x, value) at the first x
+    where base^exponent(n) does not divide diff^n, or None.
+    """
+    row = window
+    for n in range(len(window)):
+        if n:
+            row = finite_difference(row, 1)
+        if n >= first_order:
+            divisor = base ** exponent(n)
+            miss = next(
+                ((row.base_point + i, v) for i, v in enumerate(row.values) if v % divisor), None
+            )
+            yield n, row.values[0], miss
+        if n == last_order or not any(row.values):
+            return
+
+
+def _carry_bits(window: ValueTable, base: int, max_order: int, last_order=None) -> EpsilonSequence:
+    """Carries eps_0..eps_max_order of a window that reaches order max_order + 1.
+
+    base^n must divide diff^n at every point of the window for each n up
+    to last_order (None: the window's last order).  Once base^(n+1)
+    divides diff^(n+1), diff^n is constant mod base^(n+1), so eps_n is
+    read at the first point; past a row of zeros every carry is 0.
+    """
+    bits = []
+    for n, head, miss in _difference_scan(window, base, lambda n: n, last_order=last_order):
+        if miss is not None:
+            raise WeightMembershipError(
+                f"weight not in F(base {base}): {base}^{n} does not divide the"
+                f" order-{n} difference at x={miss[0]} (value {miss[1]})"
+            )
+        if n <= max_order:
+            bits.append(head // base**n % base)
+    return EpsilonSequence(base, tuple(bits + [0] * (max_order + 1 - len(bits))))
 
 
 def epsilon_of_weight(b: WeightFunction, max_order: int, base: int = 2) -> EpsilonSequence:
     """Carry bits eps_0..eps_max_order of b, certifying membership in F(base).
 
-    Polynomial weights are certified for every x at once: base^m must divide
-    the order-m difference coefficient at 0 for each m up to the degree
-    (differences beyond the degree vanish identically).  Table weights are
-    certified on the available window only.
+    A polynomial of degree d is scanned on b(0..t), t = max(d,
+    max_order + 1): the window holds all its Newton coefficients
+    diff^n b(0), which fix diff^n b everywhere, so the verdict covers every
+    x.  A table weight is scanned over all its values at orders up to
+    max_order + 1 and is certified on that window only.
     """
     q = base
     if q < 2:
@@ -214,44 +251,13 @@ def epsilon_of_weight(b: WeightFunction, max_order: int, base: int = 2) -> Epsil
     if max_order < 0:
         raise DomainError("max order must be nonnegative")
     if b.is_polynomial:
-        newton = weight_newton_coefficients(b)
-        for m, c in enumerate(newton):
-            if c % q**m:
-                raise WeightMembershipError(
-                    f"weight not in F(base {q}): {q}^{m} does not divide the"
-                    f" order-{m} difference at x=0 (value {c})"
-                )
-        bits = []
-        for n in range(max_order + 1):
-            c = newton[n] if n < len(newton) else 0
-            bits.append((c // q**n) % q)
-        return EpsilonSequence(q, tuple(bits))
-
-    window = b.as_table(0, len(b.table))
-    if len(window) < max_order + 2:
+        return _carry_bits(b.as_table(0, max(b.degree, max_order + 1) + 1), q, max_order)
+    if len(b.table) < max_order + 2:
         raise DomainError(
             f"table weight needs at least {max_order + 2} values to certify"
-            f" order {max_order}, got {len(window)}"
+            f" order {max_order}, got {len(b.table)}"
         )
-    bits = []
-    for n in range(max_order + 1):
-        diff = finite_difference(window, n)
-        qn = q**n
-        residues = set()
-        for i, v in enumerate(diff.values):
-            if v % qn:
-                raise WeightMembershipError(
-                    f"weight not in F(base {q}): {q}^{n} does not divide the"
-                    f" order-{n} difference at x={diff.base_point + i} (value {v})"
-                )
-            residues.add((v // qn) % q)
-        if len(residues) != 1:
-            raise WeightMembershipError(
-                f"order-{n} difference is not constant modulo {q}^{n + 1} on the"
-                f" window; weight leaves F(base {q})"
-            )
-        bits.append(residues.pop())
-    return EpsilonSequence(q, tuple(bits))
+    return _carry_bits(b.as_table(0, len(b.table)), q, max_order, max_order + 1)
 
 
 @dataclass(frozen=True)
@@ -336,12 +342,28 @@ def _parse_theorem(theorem: str, q: int | None) -> tuple[str, int]:
 
 
 def _is_prime_power(q: int) -> bool:
+    """Whether q = p^k for a prime p: whether an exact k-th root of q is prime.
+
+    k = 1 comes first and tests q itself, so `is_prime` refuses a q too
+    large for it before any other root is taken.
+    """
     if q < 2:
         return False
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    while q % p == 0:
-        q //= p
-    return q == 1
+    for k in range(1, q.bit_length()):
+        root = _integer_root(q, k)
+        if root**k == q and is_prime(root):
+            return True
+    return False
+
+
+def _integer_root(n: int, k: int) -> int:
+    """Largest r with r^k <= n, for n >= 1, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _theorem_clauses(name: str, q: int, b: WeightFunction):
@@ -373,17 +395,12 @@ def _theorem_clauses(name: str, q: int, b: WeightFunction):
 
 def _family_witnesses_table(window: ValueTable, fam: _FamilyClause) -> list[ConditionWitness]:
     """For each order the clause fails, the first x on the window that fails it."""
-    max_order = len(window) - 1
     out: list[ConditionWitness] = []
-    last = max_order if fam.last_order is None else min(fam.last_order, max_order)
-    for n in range(fam.first_order, last + 1):
-        divisor = fam.base ** fam.exponent(n)
-        diff = finite_difference(window, n)
-        for i, v in enumerate(diff.values):
-            if v % divisor:
-                out.append(ConditionWitness(fam.clause_id, n, diff.base_point + i, v))
-                if len(out) >= _WITNESS_CAP:
-                    return out
+    scan = _difference_scan(window, fam.base, fam.exponent, fam.first_order, fam.last_order)
+    for n, _, miss in scan:
+        if miss is not None:
+            out.append(ConditionWitness(fam.clause_id, n, *miss))
+            if len(out) >= _WITNESS_CAP:
                 break
     return out
 

@@ -10,11 +10,10 @@ from wcatalan.arith import (
     digit_sum,
     finite_difference,
     is_prime,
-    newton_coefficients,
     series_divide_exact,
     valuation,
 )
-from wcatalan.errors import DomainError
+from wcatalan.errors import DomainError, ResourceLimitError
 
 
 class TestValuation:
@@ -93,27 +92,46 @@ class TestFiniteDifference:
         assert tab.shifted(2).values == (25, 49)
 
 
-class TestNewtonCoefficients:
-    def test_examples(self):
-        assert newton_coefficients(ValueTable(0, (1, 9, 25))) == [1, 8, 8]
-        assert newton_coefficients(ValueTable(0, (4, 4, 4))) == [4, 0, 0]
-        assert newton_coefficients(ValueTable(0, (0, 1, 2, 3))) == [0, 1, 0, 0]
+def trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
-    def test_needs_base_zero(self):
-        with pytest.raises(DomainError):
-            newton_coefficients(ValueTable(1, (1, 2)))
 
-    def test_reconstructs_values(self):
-        vals = (3, -1, 4, 1, 5, 9)
-        coeffs = newton_coefficients(ValueTable(0, vals))
-        for x, v in enumerate(vals):
-            assert sum(c * math.comb(x, j) for j, c in enumerate(coeffs)) == v
+# the least strong pseudoprime to the 13 prime bases 2..41
+PSI_13 = 3317044064679887385961981
 
 
 class TestBinomialModP:
     def test_is_prime(self):
         primes = [p for p in range(60) if is_prime(p)]
         assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(10**5) if is_prime(n)] == [
+            n for n in range(10**5) if trial_division_is_prime(n)
+        ]
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # the least strong pseudoprimes to the prime bases 2..7, 2..11,
+        # 2..13, 2..17 (and 2..19), 2..23 (to 2..31) and 2..37
+        for n in (
+            3215031751,
+            2152302898747,
+            3474749660383,
+            341550071728321,
+            3825123056546413051,
+            318665857834031151167461,
+        ):
+            assert not is_prime(n), n
+
+    def test_large_inputs_below_psi_13(self):
+        assert is_prime(2**61 - 1) and is_prime(2**31 - 1) and is_prime(10**9 + 7)
+        assert not is_prime((2**61 - 1) * (2**19 - 1))
+        assert not is_prime(PSI_13 - 1)
+
+    def test_refused_from_psi_13_on(self):
+        for n in (PSI_13, PSI_13 + 1, 2**127 - 1):
+            with pytest.raises(ResourceLimitError, match="primality is decided below"):
+                is_prime(n)
 
 
 class TestIntPolynomial:

@@ -401,16 +401,52 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
 
+def run_module(*argv, timeout):
+    """`python -m wcatalan argv` in a child process, killed after `timeout` s."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run(
+        [sys.executable, "-m", "wcatalan", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+class TestLargePrimes:
+    # the least strong pseudoprime to the 13 prime bases 2..41
+    PSI_13 = 3317044064679887385961981
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["valuation", "--weight", "poly:1,1", "--p", str(2**61 - 1), "--range", "1..10"],
+            ["check", "--weight", "poly:1", "--theorem", "qmain:1000000007"],
+        ],
+    )
+    def test_answered_within_a_short_limit(self, argv):
+        # by trial division up to p and sqrt(p) these ran past 60 s and 20 s
+        proc = run_module(*argv, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["valuation", "--weight", "poly:1,1", "--p", str(PSI_13), "--range", "1..10"],
+            ["check", "--weight", "poly:1", "--theorem", f"qmain:{PSI_13}"],
+        ],
+    )
+    def test_refused_from_psi_13_on(self, argv):
+        proc = run_module(*argv, timeout=10)
+        assert (proc.returncode, proc.stdout) == (EXIT_RESOURCE, "")
+        assert proc.stderr == (
+            f"error: primality is decided below {self.PSI_13} only, got {self.PSI_13}\n"
+        )
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_prints_the_in_process_envelope(self, capsys):
         argv = ["period", "--weight", "preset:morse", "--mod", "7", "--max-terms", "500"]
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        paths = [src, os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "wcatalan", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_module(*argv, timeout=60)
         code, out, _ = run_cli(capsys, *argv)
         assert (proc.returncode, code) == (0, 0), proc.stderr
 

@@ -1,8 +1,9 @@
-"""No unused imports in the library or its tests.
+"""No unused imports in the library or its tests, and complete `__all__` lists.
 
 Every name a module of `src/wcatalan` or `tests/` imports must be read
 somewhere in that module or be re-exported through its `__all__`.
-`from __future__` imports are directives, not names.
+`from __future__` imports are directives, not names.  A library module
+with an `__all__` lists in it every public function and class it defines.
 """
 
 import ast
@@ -49,3 +50,20 @@ def test_no_unused_imports(path):
     imported = _imported_names(tree)
     unused = set(imported) - _used_names(tree) - _exported_names(tree)
     assert not unused, {name: f"{path.name}:{imported[name]}" for name in sorted(unused)}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if _exported_names(ast.parse(p.read_text()))],
+    ids=lambda p: p.name,
+)
+def test_all_lists_every_public_definition(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    exported = _exported_names(tree)
+    defined = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+    assert not defined - exported, sorted(defined - exported)

@@ -1,13 +1,19 @@
 import itertools
+import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcatalan.arith import digit_sum, valuation
 from wcatalan.catalan import catalan_number, weighted_catalan, weighted_catalan_series
-from wcatalan.errors import DomainError, WeightSpecError
+from wcatalan.cli import main
+from wcatalan.errors import DomainError, ResourceLimitError, WeightSpecError
 from wcatalan.weights import (
     WeightFunction,
     WeightMembershipError,
+    _is_prime_power,
     check_conditions,
     epsilon_of_weight,
     parse_weight_spec,
@@ -105,6 +111,109 @@ class TestEpsilon:
         for m, bit in enumerate(eps.bits):
             d = finite_difference(tab, m).values[0]
             assert d % 2**m == 0 and (d // 2**m) % 2 == bit
+
+
+def newton_coefficients(values: list[int]) -> list[int]:
+    """Iterated differences at 0: f(x) = sum_m c[m] C(x, m) on the given values."""
+    out = []
+    while values:
+        out.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
+
+
+def falling_factorial_sum(scales: list[int]) -> list[int]:
+    """Monomial coefficients of sum_m scales[m] x (x - 1) ... (x - m + 1)."""
+    coeffs = [0] * len(scales)
+    falling = [1]
+    for m, a in enumerate(scales):
+        for j, c in enumerate(falling):
+            coeffs[j] += a * c
+        falling = [0] + falling  # times x, then minus m times the old one
+        for j in range(m + 1):
+            falling[j] -= m * falling[j + 1]
+    return coeffs
+
+
+class TestNewtonOracle:
+    # x (x - 1) ... (x - m + 1) = m! C(x, m), so scaling it by a_m puts
+    # c_m = m! a_m in the Newton basis and keeps the coefficients integers
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_scan_matches_newton_coefficients(self, data):
+        q = data.draw(st.sampled_from([2, 3, 4, 5]), label="q")
+        degree = data.draw(st.integers(0, 6), label="degree")
+        lattice = data.draw(st.booleans(), label="lattice")
+        scales = [
+            (q**m if lattice else 1) * data.draw(st.integers(-9, 9)) for m in range(degree + 1)
+        ]
+        if scales[-1] == 0:
+            scales[-1] = q**degree if lattice else 1
+        b = WeightFunction.polynomial(falling_factorial_sum(scales))
+        assert b.degree == degree
+        max_order = data.draw(st.integers(max(degree - 1, 0), 8), label="max_order")
+        newton = newton_coefficients(b.values(0, degree + 1))
+        assert newton == [math.factorial(m) * a for m, a in enumerate(scales)]
+        member = all(c % q**m == 0 for m, c in enumerate(newton))
+        bits = [newton[n] // q**n % q if n <= degree else 0 for n in range(max_order + 1)]
+        extra = data.draw(st.integers(0, 3), label="extra")
+        table = WeightFunction.from_table(b.values(0, max_order + 2 + extra))
+        for weight in (b, table):
+            if member:
+                assert epsilon_of_weight(weight, max_order, base=q).bits == tuple(bits)
+            else:
+                with pytest.raises(WeightMembershipError):
+                    epsilon_of_weight(weight, max_order, base=q)
+
+    @pytest.mark.parametrize(
+        "spec, order, x",
+        [
+            # b = 1 + C(x, 3) given by its values: diff b = C(x, 2) is odd at x = 2
+            ("table:1,1,1,2,5,11,21", 1, 2),
+            # b = 1 + 6 C(x, 3): diff^2 b = 6x fails 4 | diff^2 b at x = 1
+            ("poly:1,2,-3,1", 2, 1),
+        ],
+    )
+    def test_window_fails_before_the_newton_order(self, spec, order, x, capsys):
+        b = parse_weight_spec(spec)
+        newton = newton_coefficients(b.values(0, 4))
+        assert [m for m, c in enumerate(newton) if c % 2**m] == [3]
+        with pytest.raises(WeightMembershipError) as exc:
+            epsilon_of_weight(b, 3)
+        assert f"order-{order} difference at x={x} " in str(exc.value) and order <= 3
+        code = main(["epsilon", "--weight", spec, "--shape", "()", "--m", "1"])
+        assert (code, capsys.readouterr().err) == (3, f"error: {exc.value}\n")
+
+
+def trial_division_is_prime_power(n: int) -> bool:
+    if n < 2:
+        return False
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+class TestPrimePower:
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(10**5) if _is_prime_power(n)] == [
+            n for n in range(10**5) if trial_division_is_prime_power(n)
+        ]
+
+    def test_large_branchings(self):
+        assert _is_prime_power(10**9 + 7) and _is_prime_power(3**50) and _is_prime_power(2**81)
+        assert not _is_prime_power(6**20) and not _is_prime_power((10**9 + 7) * 3)
+        # the least strong pseudoprime to the bases 2..37; base 41 exposes it
+        assert not _is_prime_power(318665857834031151167461)
+
+    def test_refused_before_any_root_from_psi_13_on(self):
+        # each is refused at k = 1, before any other root is taken: the
+        # k-th roots of the 13,288-bit 10^4000 + 1 alone take seconds
+        for q in (3317044064679887385961981, 2**100, 10**4000 + 1):
+            started = time.perf_counter()
+            with pytest.raises(ResourceLimitError, match="primality is decided below"):
+                _is_prime_power(q)
+            assert time.perf_counter() - started < 0.5
 
 
 class TestCheckConditions:
