@@ -2,8 +2,9 @@
 
 Everything here is arbitrary-precision and pure: valuations and digit
 sums, finite-difference windows with shift bookkeeping, a primality test,
-integer polynomials, and the exact power-series division that the tests
-use as the reference for the residue engine in `series`.
+integer polynomials, and the exact power-series division that is the
+exact q-ary inverse in `catalan` and that the tests use as the reference
+for the residue engine in `series`.
 """
 
 from __future__ import annotations

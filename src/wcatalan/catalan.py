@@ -3,18 +3,20 @@
 The binary values come from `kernel`, which checks the arguments and picks
 an engine: a whole series from the Dyck DP or the S-fraction tree, and one
 exact value from the half-length DP.  In the q-ary engine a vertex at
-non-right depth x carries weight b(x); it builds the generating functions
-of subtrees bottom-up, in residues through `series` when the modulus has
-at most 128 bits, and otherwise exactly, reducing only the final value.
-A weight that is constant on the levels an n-vertex tree reaches skips
-both: the value is b(0)^n times the q-ary Catalan number.
+non-right depth x carries weight b(x); one loop builds the generating
+functions of subtrees bottom-up.  When the modulus has at most 128 bits
+it multiplies and inverts residues through `series`; otherwise it runs
+exactly, with `_convolve` for the products and `arith.series_divide_exact`
+for the inverse, and reduces only the final value.  A weight that is constant on
+the levels an n-vertex tree reaches skips the loop: the value is b(0)^n
+times the q-ary Catalan number.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import kernel, series
+from . import arith, kernel, series
 from .errors import DomainError
 from .weights import WeightFunction
 
@@ -95,8 +97,8 @@ def q_weighted_catalan(b: WeightFunction, q: int, n: int, modulus: int | None = 
 
     A weight that is constant on 0..n-1 takes the closed form
     b(0)^n C(qn, n) / ((q-1)n + 1).  Otherwise a modulus of at most
-    `_Q_RESIDUE_BITS` bits takes the residue engine `_q_weighted_mod`; a
-    wider one, or none, runs the exact loop `_q_weighted_exact`.
+    `_Q_RESIDUE_BITS` bits runs the subtree-series loop `_q_weighted` on
+    residues; a wider one, or none, runs it exactly and reduces the value.
     """
     if q < 2:
         raise DomainError(f"branching must be at least 2, got {q}")
@@ -111,49 +113,33 @@ def q_weighted_catalan(b: WeightFunction, q: int, n: int, modulus: int | None = 
         # every tree has n vertices, so a constant weight c scales each by c^n
         value = bv[0] ** n * q_catalan(q, n)
     elif modulus is not None and modulus.bit_length() <= _Q_RESIDUE_BITS:
-        return _q_weighted_mod(bv, q, n, modulus)
+        return _q_weighted(bv, q, n, modulus)
     else:
-        value = _q_weighted_exact(bv, q, n)
+        value = _q_weighted(bv, q, n, None)
     return value if modulus is None else value % modulus
 
 
-def _q_weighted_exact(bv: list[int], q: int, n: int) -> int:
-    """F_0(n) exactly, from the recurrence in `q_weighted_catalan`."""
-    rows: dict[int, list[int]] = {n: [1]}
-    for x in range(n - 1, -1, -1):
-        limit = n - x
-        up = rows[x + 1]
-        conv = [1] + [0] * (limit - 1)
-        for _ in range(q - 1):
-            conv = _convolve(conv, up + [0] * (limit - len(up)), limit)
-        row = [0] * (limit + 1)
-        row[0] = 1
-        for k in range(1, limit + 1):
-            acc = 0
-            for a in range(k):
-                if conv[a]:
-                    acc += conv[a] * row[k - 1 - a]
-            row[k] = bv[x] * acc
-        rows[x] = row
-        del rows[x + 1]
-    return rows[0][n]
+def _q_weighted(bv: list[int], q: int, n: int, modulus: int | None) -> int:
+    """F_0(n) from the series F_x = 1 / (1 - b(x) t F_(x+1)^(q-1)): exact, or mod `modulus`.
 
-
-def _q_weighted_mod(bv: list[int], q: int, n: int, modulus: int) -> int:
-    """F_0(n) mod `modulus` from the series F_x = 1 / (1 - b(x) t F_(x+1)^(q-1)).
-
-    F_x is needed up to t^(n - x), and F_n = 1.
+    F_x is needed up to t^(n - x), and F_n = 1.  Exact values take the
+    products by `_convolve` and the inverse by `arith.series_divide_exact`;
+    residues take both from `series`.
     """
     f = [1]
     for x in range(n - 1, -1, -1):
         # F_x needs n - x + 1 terms, so the factor that t multiplies needs one fewer
         order = n - x
         base = power = f[:order]
-        for _ in range(q - 2):
-            power = series.mul_mod(power, base, modulus, order)
-        scale = -bv[x] % modulus
-        denom = [1] + [scale * c % modulus for c in power]
-        f = series.inverse_mod(denom, modulus, order + 1)
+        if modulus is None:
+            for _ in range(q - 2):
+                power = _convolve(power, base, order)
+            f = arith.series_divide_exact((1,), [1] + [-bv[x] * c for c in power], order + 1)
+        else:
+            for _ in range(q - 2):
+                power = series.mul_mod(power, base, modulus, order)
+            scale = -bv[x] % modulus
+            f = series.inverse_mod([1] + [scale * c % modulus for c in power], modulus, order + 1)
     return f[n]
 
 

@@ -268,10 +268,19 @@ def _cmd_epsilon(args, started) -> int:
             f"carry oracles capped at order {order_cap} (requested {args.m})"
         )
     shape = orbits.OrbitShape.from_parens(args.shape, args.q)
-    need = args.m + max(shape.depth, shape.vertex_count) + 1
-    eps_b = epsilon_of_weight(b, need, base=args.q)
     if args.m < 0:  # the coin loop below would run zero times and print []
         raise DomainError("max order must be nonnegative")
+    # `all` skips the coin oracle beyond its caps and for non-binary shapes
+    run_coin = args.method == "coin" or (
+        args.method == "all"
+        and shape.q == 2
+        and shape.vertex_count <= orbits.COIN_VERTEX_CAP
+        and args.m <= orbits.COIN_ORDER_CAP
+    )
+    # recursive reads carries to order m + depth, and coin to m + vertex_count - 1;
+    # every method certifies the weight, so one outside F(q) is refused
+    reach = max(shape.depth, shape.vertex_count - 1) if run_coin else shape.depth
+    eps_b = epsilon_of_weight(b, args.m + reach, base=args.q)
     params = {
         "weight": args.weight,
         "shape": args.shape,
@@ -284,12 +293,6 @@ def _cmd_epsilon(args, started) -> int:
     if args.method in ("recursive", "all"):
         results["recursive"] = list(orbits.epsilon_recursive(shape, eps_b, args.m).bits)
     if args.method in ("coin", "all"):
-        # `all` skips the coin oracle beyond its caps and for non-binary shapes
-        run_coin = args.method == "coin" or (
-            shape.q == 2
-            and shape.vertex_count <= orbits.COIN_VERTEX_CAP
-            and args.m <= orbits.COIN_ORDER_CAP
-        )
         results["coin"] = (
             [orbits.coin_oracle(shape, eps_b, j) for j in range(args.m + 1)]
             if run_coin

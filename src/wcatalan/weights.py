@@ -10,10 +10,11 @@ valuation theorems.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .arith import ValueTable, digit_sum, finite_difference, is_prime
+from .arith import ValueTable, digit_sum, is_prime
 from .errors import DomainError, WeightSpecError
 
 __all__ = [
@@ -202,17 +203,15 @@ def _difference_scan(window, base, exponent, first_order=0, last_order=None):
     at the window's first point, and miss is (x, value) at the first x
     where base^exponent(n) does not divide diff^n, or None.
     """
-    row = window
-    for n in range(len(window)):
+    start, row = window.base_point, window.values
+    for n in range(len(row)):
         if n:
-            row = finite_difference(row, 1)
+            row = tuple(map(operator.sub, row[1:], row))
         if n >= first_order:
             divisor = base ** exponent(n)
-            miss = next(
-                ((row.base_point + i, v) for i, v in enumerate(row.values) if v % divisor), None
-            )
-            yield n, row.values[0], miss
-        if n == last_order or not any(row.values):
+            miss = next(((start + i, v) for i, v in enumerate(row) if v % divisor), None)
+            yield n, row[0], miss
+        if n == last_order or not any(row):
             return
 
 

@@ -79,6 +79,23 @@ def brute_q_ary_total(b, q, n):
     return sum(weight(t, 0) for t in trees(n))
 
 
+# Moduli of at most 128 bits (the residue engine), among them one word and
+# wider, and moduli past the cut (exact, then reduced).
+WORD = 2**64
+CUT = 2**catalan._Q_RESIDUE_BITS
+Q_MODULI = st.one_of(
+    st.sampled_from([2, 3, 4, WORD - 1, WORD, WORD + 1, CUT - 1, CUT, CUT + 1]),
+    st.integers(2, WORD - 1),
+    st.integers(WORD, CUT - 1),
+    st.integers(CUT, 2**200),
+)
+# Zero and negative weight values, inside and at the ends of the window.
+Q_WEIGHTS = st.one_of(
+    st.sampled_from([[0], [0, 1], [2, -1], [3, -5, 2], [-1]]),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+).map(WeightFunction.polynomial)
+
+
 class TestWeightedCatalan:
     def test_examples(self):
         assert weighted_catalan(ONES, 3) == 5
@@ -203,16 +220,16 @@ class TestQAry:
             for n in range(13):
                 assert q_weighted_catalan(ONES, q, n) == q_catalan(q, n)
                 # the loop that the closed form skips agrees with it too
-                assert catalan._q_weighted_exact([1] * n, q, n) == q_catalan(q, n)
+                assert catalan._q_weighted([1] * n, q, n, None) == q_catalan(q, n)
 
     def test_constant_weights_skip_both_loops(self, monkeypatch):
         loops = {}
         for c in (-3, -1, 0, 2, 5):
             for q in (2, 3, 5):
                 for n in range(1, 16):
-                    loops[c, q, n] = catalan._q_weighted_exact([c] * n, q, n)
+                    loops[c, q, n] = catalan._q_weighted([c] * n, q, n, None)
         _record_convolve(monkeypatch, allowed=False)
-        monkeypatch.setattr(catalan, "_q_weighted_mod", None)
+        monkeypatch.setattr(catalan, "_q_weighted", None)
         for (c, q, n), value in loops.items():
             b = WeightFunction.polynomial([c])
             assert q_weighted_catalan(b, q, n) == value
@@ -227,11 +244,13 @@ class TestQAry:
         for n in range(11):
             assert q_weighted_catalan(b, 2, n) == weighted_catalan(b, n)
 
-    def test_against_brute_force(self):
-        b = WeightFunction.polynomial([1, 9])
-        for q in (2, 3):
-            for n in range(5):
-                assert q_weighted_catalan(b, q, n) == brute_q_ary_total(b, q, n)
+    @given(st.integers(2, 4), st.integers(0, 5), Q_WEIGHTS, Q_MODULI)
+    @settings(max_examples=100, deadline=None)
+    def test_against_brute_force(self, q, n, b, m):
+        # the tree sum checks the loop itself, which residues and exact values share
+        total = brute_q_ary_total(b, q, n)
+        assert q_weighted_catalan(b, q, n) == total
+        assert q_weighted_catalan(b, q, n, m) == total % m
 
     def test_residues_need_a_modulus_of_at_least_two(self):
         with pytest.raises(DomainError, match="^modulus must be at least 2, got 1$"):
@@ -242,23 +261,6 @@ class TestQAry:
     def test_catalan_series(self):
         assert catalan_series(6) == [1, 1, 2, 5, 14, 42, 132]
         assert catalan_series(40)[40] == catalan_number(40)
-
-
-# Moduli of at most 128 bits (the residue engine), among them one word and
-# wider, and moduli past the cut (exact, then reduced).
-WORD = 2**64
-CUT = 2**catalan._Q_RESIDUE_BITS
-Q_MODULI = st.one_of(
-    st.sampled_from([2, 3, 4, WORD - 1, WORD, WORD + 1, CUT - 1, CUT, CUT + 1]),
-    st.integers(2, WORD - 1),
-    st.integers(WORD, CUT - 1),
-    st.integers(CUT, 2**200),
-)
-# Zero and negative weight values, inside and at the ends of the window.
-Q_WEIGHTS = st.one_of(
-    st.sampled_from([[0], [0, 1], [2, -1], [3, -5, 2], [-1]]),
-    st.lists(st.integers(-9, 9), min_size=1, max_size=3),
-).map(WeightFunction.polynomial)
 
 
 def _record_convolve(monkeypatch, allowed: bool) -> list:

@@ -184,6 +184,22 @@ class TestEpsilon:
         assert env["result"]["agree"] is True
 
     @pytest.mark.parametrize("method", ["direct", "recursive", "all"])
+    def test_table_weight_certified_to_the_orders_read(self, capsys, method):
+        # depth 3 and m = 1: recursive reads carries to order 4, which 8 values
+        # certify; the 7 vertices used to demand 11 values
+        env = run_json(
+            capsys, "epsilon", "--weight", "table:1,9,25,49,81,121,169,225",
+            "--shape", "((()())(()()))", "--m", "1", "--method", method,
+        )
+        result = env["result"]
+        for name in ("direct", "recursive"):
+            if method in (name, "all"):
+                assert result[name] == [1, 0]
+        if method == "all":
+            assert result["coin"] is None
+            assert result["agree"] is True
+
+    @pytest.mark.parametrize("method", ["direct", "recursive", "all"])
     def test_depth_cap(self, capsys, method):
         cap = orbits.EPSILON_DEPTH_CAP
         at_cap = "(" * cap + ")" * cap
