@@ -221,15 +221,15 @@ def _cmd_check(args, started) -> int:
 def _cmd_orbits(args, started) -> int:
     # every orbit listed has n vertices, so "vertices" is one shared scalar
     if args.minimal:
-        shapes = orbits.minimal_orbits(args.n, args.q)
-        parens = [sh.to_parens() for sh in shapes]
-        sizes = [orbits.orbit_size(sh) for sh in shapes]
+        table = orbits.minimal_orbits(args.n, args.q)
     else:
-        shapes = orbits.enumerate_orbits(args.n, args.q, max_n=args.max_orbit_n)
-        parens, sizes = shapes.parens, shapes.sizes
-    columns = {"shape": parens, "size": sizes, "vertices": args.n}
-    if args.reduce:
-        reduced = [orbits.reduce_orbit(sh) for sh in shapes]
+        table = orbits.enumerate_orbits(args.n, args.q, max_n=args.max_orbit_n)
+    columns = {"shape": table.parens, "size": table.sizes, "vertices": args.n}
+    if args.reduce and table.reduced is not None:
+        # minimal orbits carry their reduction from the construction
+        columns["reduced"], columns["removed"] = table.reduced, table.removed
+    elif args.reduce:
+        reduced = [orbits.reduce_orbit(sh) for sh in table]
         columns["reduced"] = [sh.to_parens() for sh, _ in reduced]
         columns["removed"] = [removed for _, removed in reduced]
     params = {
@@ -238,7 +238,7 @@ def _cmd_orbits(args, started) -> int:
         "minimal": args.minimal,
         "reduce": args.reduce,
     }
-    _emit("orbits", params, _Table(len(parens), columns), started)
+    _emit("orbits", params, _Table(len(table), columns), started)
     return EXIT_OK
 
 
@@ -270,6 +270,8 @@ def _cmd_epsilon(args, started) -> int:
     shape = orbits.OrbitShape.from_parens(args.shape, args.q)
     if args.m < 0:  # the coin loop below would run zero times and print []
         raise DomainError("max order must be nonnegative")
+    if args.method == "coin":  # its caps come before the weight is certified
+        orbits.check_coin_caps(shape, args.m)
     # `all` skips the coin oracle beyond its caps and for non-binary shapes
     run_coin = args.method == "coin" or (
         args.method == "all"

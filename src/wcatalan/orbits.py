@@ -7,6 +7,15 @@ binary trees directly from the binary expansion of n+1, evaluates the
 orbit-average weight function, computes the orbit carry sequence by three
 independent routes (definition, multinomial recursion, coin-configuration
 sum), and collapses complete subtrees (reduction).
+
+Enumeration and the minimal-orbit construction both return an
+`OrbitTable` of columns, built without an `OrbitShape` per row.  A
+minimal orbit is complete trees of distinct depths hung below a binary
+skeleton, and its table carries the reduction as columns from the same
+construction: a skeleton subtree holding t >= 2 hung trees has
+sum(2^d) - 1 vertices over t distinct d, never 2^e - 1, so the maximal
+complete subtrees are exactly the hung trees, and each becomes a leaf.
+`reduce_orbit` reduces any shape and checks that construction in the tests.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .arith import ValueTable
 from .errors import DomainError, ResourceLimitError
@@ -33,7 +43,9 @@ __all__ = [
     "epsilon_direct",
     "epsilon_recursive",
     "coin_oracle",
+    "check_coin_caps",
     "reduce_orbit",
+    "MINIMAL_ORBIT_CAP",
     "enum_cap",
     "COIN_VERTEX_CAP",
     "COIN_ORDER_CAP",
@@ -291,26 +303,33 @@ def _fill_rows(emit, layers, total, slots, top, prev, run, size, keys, parens):
 
 
 class OrbitTable(Sequence):
-    """The orbits on n vertices as three columns: keys, parens strings, sizes.
+    """The orbits on n vertices as columns: keys, parens strings, sizes.
 
     An immutable sequence of `OrbitShape`: indexing and iteration build
     each shape from its key when it is asked for.  A caller that needs only
     the strings and sizes reads the `parens` and `sizes` columns and builds
-    no shape at all.
+    no shape at all.  A table of minimal orbits also holds each orbit's
+    reduction as the `reduced` parens and `removed` count columns of
+    `reduce_orbit`; elsewhere both are None.
     """
 
-    __slots__ = ("q", "keys", "parens", "sizes")
+    __slots__ = ("q", "keys", "parens", "sizes", "reduced", "removed")
 
-    def __init__(self, q: int, keys, parens, sizes):
+    def __init__(self, q: int, keys, parens, sizes, reduced=None, removed=None):
         self.q = q
         self.keys, self.parens, self.sizes = tuple(keys), tuple(parens), tuple(sizes)
+        self.reduced = None if reduced is None else tuple(reduced)
+        self.removed = None if removed is None else tuple(removed)
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return OrbitTable(self.q, self.keys[index], self.parens[index], self.sizes[index])
+            columns = (self.keys, self.parens, self.sizes, self.reduced, self.removed)
+            return OrbitTable(
+                self.q, *(None if col is None else col[index] for col in columns)
+            )
         return OrbitShape(self.q, self.keys[index])
 
     def __iter__(self):
@@ -397,28 +416,69 @@ def _is_complete_key(key, q: int) -> bool:
     return all(k == first for k in key[1:]) and _is_complete_key(first, q)
 
 
-@lru_cache(maxsize=None)
-def _minimal_keys(depths: tuple) -> frozenset:
-    """Keys of complete trees of the given depths hung below a binary skeleton.
+# Most minimal orbits `minimal_orbits` builds: (2s - 1)!! at s = 7, the
+# 135,135 orbits of n = 254, which `orbits --n 254 --minimal --reduce`
+# writes in 2.7 s with a 214 MB peak (2-core x86-64, Python 3.11).  s = 8
+# has 2,027,025 orbits of twice the length: 15 times the rows, each twice
+# as long, so about a minute and gigabytes.
+MINIMAL_ORBIT_CAP = 135_135
 
-    One depth d gives the complete tree of depth d (depth 0 is the empty
-    tree).  Two or more sit below a skeleton vertex whose two subtrees take
-    every split of the depths into two nonempty parts.
+
+def _minimal_rows(depths: tuple) -> list[tuple]:
+    """Complete trees of the given depths hung below a binary skeleton.
+
+    One row (key, parens, reduced parens) per tree.  One depth d gives the
+    complete tree of depth d (depth 0 is the empty tree, key None), which
+    reduces to a leaf if d >= 1.  Two or more sit below a skeleton vertex
+    whose two subtrees take every split of the depths into two nonempty
+    parts; the vertex's parens join its children's in key order, and its
+    reduced parens join their reduced ones in reduced-key order.  The
+    depths are distinct, so no skeleton vertex roots a complete subtree
+    (see `minimal_orbits`) and the reduction collapses exactly the hung
+    trees.  No key comes out twice: a key's hung trees are its maximal
+    complete subtrees, so it determines its split.
+
+    Keys are ordered by their parens strings, in reverse: where two
+    strings first differ, the key whose string has ")" there has run out
+    of children first, so it is the smaller.  A string comparison is one
+    C-level scan, where comparing the nested keys recurses.
     """
     if len(depths) == 1:
-        return frozenset([complete_shape(depths[0]).key])
+        key, parens = None, ""
+        for _ in range(depths[0]):
+            key, parens = ((key, key) if key is not None else ()), f"({parens}{parens})"
+        return [(key, parens, "()" if depths[0] else "")]
     head, rest = depths[0], depths[1:]
-    keys = set()
+    rows = []
+    emit = rows.append
     for mask in range((1 << len(rest)) - 1):
         left = (head,) + tuple(d for i, d in enumerate(rest) if mask >> i & 1)
-        right = tuple(d for i, d in enumerate(rest) if not mask >> i & 1)
-        for lk in _minimal_keys(left):
-            for rk in _minimal_keys(right):
-                keys.add(tuple(sorted(k for k in (lk, rk) if k is not None)))
-    return frozenset(keys)
+        right = _minimal_subtrees(tuple(d for i, d in enumerate(rest) if not mask >> i & 1))
+        if left == (0,):
+            # the empty tree fills one slot: the right subtree is an only child
+            for key, parens, reduced in right:
+                emit(((key,), f"({parens})", f"({reduced})"))
+            continue
+        for lkey, lparens, lreduced in _minimal_subtrees(left):
+            for key, parens, reduced in right:
+                if lparens > parens:
+                    kids, text = (lkey, key), f"({lparens}{parens})"
+                else:
+                    kids, text = (key, lkey), f"({parens}{lparens})"
+                if lreduced >= reduced:
+                    emit((kids, text, f"({lreduced}{reduced})"))
+                else:
+                    emit((kids, text, f"({reduced}{lreduced})"))
+    return rows
 
 
-def minimal_orbits(n: int, q: int = 2) -> list[OrbitShape]:
+@lru_cache(maxsize=None)
+def _minimal_subtrees(depths: tuple) -> tuple:
+    """`_minimal_rows` of an inner depth tuple, memoised; never a top-level one."""
+    return tuple(_minimal_rows(depths))
+
+
+def minimal_orbits(n: int, q: int = 2) -> OrbitTable:
     """All orbits of minimum size 2**s on n vertices, s = s_2(n+1) - 1.
 
     Write n+1 = 2^{k_1} + ... + 2^{k_{s+1}}.  Every minimal orbit is a
@@ -426,6 +486,15 @@ def minimal_orbits(n: int, q: int = 2) -> list[OrbitShape]:
     k_1, ..., k_{s+1} at its s+1 empty slots (depth 0 is the empty tree).
     The keys are built by splitting the depths between the two subtrees of
     each skeleton vertex, so every orbit is produced directly as a key.
+
+    The orbits come as an `OrbitTable` in key order, with the `reduced`
+    and `removed` columns of `reduce_orbit` read off the same construction:
+    each hung tree of depth >= 1 becomes a leaf, and every orbit removes
+    the sum of 2^d - 2 over the depths d >= 1.  That is right because a
+    subtree holding t >= 2 hung trees has sum(2^d) - 1 vertices over t
+    distinct d, never 2^e - 1: no skeleton vertex roots a complete subtree,
+    so the maximal complete subtrees are exactly the hung trees.  More
+    than `MINIMAL_ORBIT_CAP` orbits are refused before any is built.
     """
     if q != 2:
         raise DomainError("minimal-orbit construction is implemented for binary trees only")
@@ -433,9 +502,18 @@ def minimal_orbits(n: int, q: int = 2) -> list[OrbitShape]:
         raise DomainError("vertex count must be at least 1")
     depths = tuple(i for i in range((n + 1).bit_length()) if (n + 1) >> i & 1)
     s = len(depths) - 1
-    shapes = [OrbitShape(2, k) for k in sorted(_minimal_keys(depths))]
-    assert all(orbit_size(sh) == 1 << s for sh in shapes)
-    return shapes
+    count = math.prod(range(1, 2 * s, 2))
+    if count > MINIMAL_ORBIT_CAP:
+        raise ResourceLimitError(
+            f"minimal orbits capped at {MINIMAL_ORBIT_CAP} orbits"
+            f" (n = {n} has {count}, s = {s})"
+        )
+    rows = _minimal_rows(depths)
+    rows.sort(key=itemgetter(1), reverse=True)  # key order; see `_minimal_rows`
+    keys, parens, reduced = zip(*rows)
+    assert all(_node_size(key, 2) == 1 << s for key in keys)
+    removed = sum((1 << d) - 2 for d in depths if d)
+    return OrbitTable(q, keys, parens, (1 << s,) * len(keys), reduced, (removed,) * len(keys))
 
 
 def average_weight(
@@ -586,6 +664,32 @@ def _add_vertex(key, children: list, subtree: list) -> int:
     return v
 
 
+def check_coin_caps(
+    shape: OrbitShape,
+    m: int,
+    *,
+    max_vertices: int = COIN_VERTEX_CAP,
+    max_order: int = COIN_ORDER_CAP,
+) -> None:
+    """Raise what `coin_oracle(shape, eps, m)` raises before it reads `eps`.
+
+    A non-binary shape or a negative order is a domain error; a nonempty
+    shape past the vertex or order cap is a resource limit.
+    """
+    if shape.q != 2:
+        raise DomainError("the coin-configuration oracle is defined for binary orbits only")
+    if m < 0:
+        raise DomainError("order must be nonnegative")
+    if shape.is_empty:
+        return
+    n_v = shape.vertex_count
+    if n_v > max_vertices or m > max_order:
+        raise ResourceLimitError(
+            f"coin oracle capped at {max_vertices} vertices and order {max_order}"
+            f" (requested {n_v} vertices, order {m})"
+        )
+
+
 def coin_oracle(
     shape: OrbitShape,
     eps,
@@ -602,18 +706,10 @@ def coin_oracle(
     independent per-node choices; the labeled coins are then distributed by
     multinomial count, so only per-vertex totals are enumerated.
     """
-    if shape.q != 2:
-        raise DomainError("the coin-configuration oracle is defined for binary orbits only")
-    if m < 0:
-        raise DomainError("order must be nonnegative")
+    check_coin_caps(shape, m, max_vertices=max_vertices, max_order=max_order)
     if shape.is_empty:
         return 1 if m == 0 else 0
     n_v = shape.vertex_count
-    if n_v > max_vertices or m > max_order:
-        raise ResourceLimitError(
-            f"coin oracle capped at {max_vertices} vertices and order {max_order}"
-            f" (requested {n_v} vertices, order {m})"
-        )
     bits_b = tuple(eps)
     if len(bits_b) < m + n_v:
         raise DomainError(

@@ -138,6 +138,37 @@ class TestOrbits:
         assert case(command) == next(c for c in CASES if c[0] == command)
         assert built
 
+    def test_minimal_builds_no_shape(self, capsys, monkeypatch):
+        # the construction's parens, reduced and removed columns go straight
+        # to the writer: no shape, and no `reduce_orbit` or `orbit_size` call
+        built = []
+        init = orbits.OrbitShape.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("called on a minimal row")
+
+        monkeypatch.setattr(orbits.OrbitShape, "__init__", counted)
+        monkeypatch.setattr(orbits, "reduce_orbit", refused)
+        monkeypatch.setattr(orbits, "orbit_size", refused)
+        env = run_json(capsys, "orbits", "--n", "46", "--minimal", "--reduce")
+        assert len(env["result"]) == 105 and built == []
+        # 47 = 2^5 + 2^3 + 2^2 + 2^1 + 2^0: size 2^4, removed 30 + 6 + 2 + 0
+        assert {(r["size"], r["removed"]) for r in env["result"]} == {(16, 38)}
+
+    def test_minimal_cap_refused_before_any_key(self):
+        # s = 8 has 2,027,025 orbits of 510 vertices; s = 7 took 19.7 s and
+        # 259 MB before the construction gave the reduction, so s = 8 would
+        # take minutes and gigabytes
+        proc = run_module("orbits", "--n", "510", "--minimal", timeout=10)
+        assert (proc.returncode, proc.stdout) == (EXIT_RESOURCE, "")
+        assert proc.stderr == (
+            "error: minimal orbits capped at 135135 orbits (n = 510 has 2027025, s = 8)\n"
+        )
+
     @pytest.mark.parametrize("q, cap", [(2, 16), (3, 14), (4, 13), (8, 13)])
     def test_cap_depends_on_q(self, capsys, q, cap):
         # at q = 3 and 8 the old flat cap of 16 let 124,906 and 234,746 rows through
@@ -198,6 +229,32 @@ class TestEpsilon:
         if method == "all":
             assert result["coin"] is None
             assert result["agree"] is True
+
+    @pytest.mark.parametrize("weight", ["table:1,9,25,49,81,121,169,225", "poly:1,0,4"])
+    def test_coin_caps_before_the_weight(self, capsys, weight):
+        # with the 8-value table this exited 3 asking for 9 values, the
+        # orders the coin oracle would read if it were not capped
+        code, out, err = run_cli(
+            capsys, "epsilon", "--weight", weight, "--shape", "((()())(()()))",
+            "--m", "1", "--method", "coin",
+        )
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err == (
+            "error: coin oracle capped at 6 vertices and order 4"
+            " (requested 7 vertices, order 1)\n"
+        )
+        # the binary check comes first too, and the empty shape passes every cap
+        code, out, err = run_cli(
+            capsys, "epsilon", "--q", "3", "--weight", "table:1", "--shape", "(()())",
+            "--m", "1", "--method", "coin",
+        )
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "error: the coin-configuration oracle is defined for binary orbits only\n"
+        env = run_json(
+            capsys, "epsilon", "--weight", "preset:morse", "--shape", "", "--m", "6",
+            "--method", "coin",
+        )
+        assert env["result"]["coin"] == [1, 0, 0, 0, 0, 0, 0]
 
     @pytest.mark.parametrize("method", ["direct", "recursive", "all"])
     def test_depth_cap(self, capsys, method):

@@ -105,6 +105,11 @@ CASES = [
     ('orbits --n 7 --reduce', 0, '', '300984dcc6767f7a'),
     ('orbits --n 9 --minimal', 0, '', '559234fb874b08d6'),
     ('orbits --n 46 --minimal --reduce', 0, '', 'ba81b338c775681f'),
+    # reductions from the minimal construction: an empty slot (n + 1 = 3),
+    # a complete tree reduced to a leaf, and the 10,395 orbits of s = 6
+    ('orbits --n 2 --minimal --reduce', 0, '', '3d084747a17c6a7b'),
+    ('orbits --n 3 --minimal --reduce', 0, '', '4dd8fe3c84913b84'),
+    ('orbits --n 126 --minimal --reduce', 0, '', 'b1b9a7516361d8a5'),
     ('orbits --n 14 --max-orbit-n 14', 0, '', '2512be2ee336b4e2'),
     ('orbits --q 3 --n 9 --reduce', 0, '', '3c7346d17d4fa31d'),
     # the enumeration order: binary at the default cap, and wide q, where a

@@ -376,6 +376,54 @@ class TestMinimalOrbits:
         with pytest.raises(DomainError):
             minimal_orbits(4, q=3)
 
+    def test_reduction_from_the_construction_matches_reduce_orbit(self):
+        for n in range(1, 130):
+            table = minimal_orbits(n)
+            assert len(table.reduced) == len(table.removed) == len(table)
+            for shape, reduced, removed in zip(table, table.reduced, table.removed):
+                oracle, oracle_removed = reduce_orbit(shape)
+                assert (reduced, removed) == (oracle.to_parens(), oracle_removed), (n, shape)
+
+    def test_table_slices_keep_the_reduction(self):
+        table = minimal_orbits(46)
+        part = table[3:9]
+        assert isinstance(part, orbits.OrbitTable) and len(part) == 6
+        assert part.reduced == table.reduced[3:9] and part.removed == table.removed[3:9]
+        assert list(part) == list(table)[3:9]
+        assert enumerate_orbits(5).reduced is None and enumerate_orbits(5)[1:].removed is None
+
+    def test_memo_holds_inner_depth_tuples_only(self):
+        # the builder caches the depth tuples below the top one; n + 1's full
+        # tuple goes straight into the returned columns
+        builder = orbits._minimal_subtrees
+        for n in (14, 46, 126):
+            builder.cache_clear()
+            table = minimal_orbits(n)
+            depths = tuple(i for i in range((n + 1).bit_length()) if (n + 1) >> i & 1)
+            cached = builder.cache_info().currsize
+            assert 0 < cached
+            # a call on the full tuple misses once, and finds every inner one
+            misses = builder.cache_info().misses
+            assert sorted(row[0] for row in builder(depths)) == list(table.keys)
+            assert builder.cache_info().misses == misses + 1
+            assert builder.cache_info().currsize == cached + 1
+
+    def test_cap_refuses_before_any_key(self):
+        from wcatalan.arith import digit_sum
+
+        # s = 7 (135,135 orbits) is the largest s allowed; s = 8 is refused
+        assert orbits.MINIMAL_ORBIT_CAP == math.prod(range(1, 14, 2))
+        orbits._minimal_subtrees.cache_clear()
+        for n in (510, 1022, 2**40 - 2):
+            with pytest.raises(ResourceLimitError, match="capped at 135135 orbits"):
+                minimal_orbits(n)
+        assert orbits._minimal_subtrees.cache_info().misses == 0
+        assert max(digit_sum(2, n + 1) - 1 for n in range(1, 510)) == 7
+        with pytest.raises(DomainError):
+            minimal_orbits(510, q=3)
+        with pytest.raises(DomainError):
+            minimal_orbits(0)
+
 
 class TestAverageWeight:
     def test_single_vertex_is_the_weight(self):
