@@ -21,7 +21,6 @@ from .errors import DomainError, ResourceLimitError, WeightSpecError
 from .weights import (
     WEIGHT_SPEC_GRAMMAR,
     check_conditions,
-    epsilon_of_weight,
     parse_weight_spec,
 )
 
@@ -32,16 +31,20 @@ EXIT_DOMAIN = 3
 EXIT_RESOURCE = 4
 
 
+class _UsageError(ValueError):
+    """A malformed range or a missing option: exit 2 with no weight grammar."""
+
+
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise WeightSpecError(f"range '{text}' must look like A..B (inclusive)")
+        raise _UsageError(f"range '{text}' must look like A..B (inclusive)")
     try:
         a, b = int(lo), int(hi)
     except ValueError:
-        raise WeightSpecError(f"range '{text}' has non-integer endpoints") from None
+        raise _UsageError(f"range '{text}' has non-integer endpoints") from None
     if b < a:
-        raise WeightSpecError(f"range '{text}' is empty")
+        raise _UsageError(f"range '{text}' is empty")
     return range(a, b + 1)
 
 
@@ -242,71 +245,17 @@ def _cmd_orbits(args, started) -> int:
     return EXIT_OK
 
 
-def _parens_depth(text: str) -> int:
-    """Deepest nesting of a parentheses string, by one linear scan."""
-    depth = deepest = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-            deepest = max(deepest, depth)
-        elif ch == ")":
-            depth -= 1
-    return deepest
-
-
 def _cmd_epsilon(args, started) -> int:
     b = parse_weight_spec(args.weight)
-    depth = _parens_depth(args.shape)
-    depth_cap = orbits.epsilon_depth_cap(args.q)
-    if depth > depth_cap:
-        raise ResourceLimitError(
-            f"carry oracles capped at shape depth {depth_cap} (requested {depth})"
-        )
-    order_cap = orbits.epsilon_order_cap(args.q)
-    if args.m > order_cap:
-        raise ResourceLimitError(
-            f"carry oracles capped at order {order_cap} (requested {args.m})"
-        )
-    shape = orbits.OrbitShape.from_parens(args.shape, args.q)
-    if args.m < 0:  # the coin loop below would run zero times and print []
-        raise DomainError("max order must be nonnegative")
-    if args.method == "coin":  # its caps come before the weight is certified
-        orbits.check_coin_caps(shape, args.m)
-    # `all` skips the coin oracle beyond its caps and for non-binary shapes
-    run_coin = args.method == "coin" or (
-        args.method == "all"
-        and shape.q == 2
-        and shape.vertex_count <= orbits.COIN_VERTEX_CAP
-        and args.m <= orbits.COIN_ORDER_CAP
-    )
-    # recursive reads carries to order m + depth, and coin to m + vertex_count - 1;
-    # every method certifies the weight, so one outside F(q) is refused
-    reach = max(shape.depth, shape.vertex_count - 1) if run_coin else shape.depth
-    eps_b = epsilon_of_weight(b, args.m + reach, base=args.q)
+    result = orbits.carry_oracles(args.shape, args.q, b, args.m, args.method)
     params = {
         "weight": args.weight,
         "shape": args.shape,
         "m": args.m,
         "method": args.method,
     }
-    results: dict[str, object] = {}
-    if args.method in ("direct", "all"):
-        results["direct"] = list(orbits.epsilon_direct(shape, b, args.m).bits)
-    if args.method in ("recursive", "all"):
-        results["recursive"] = list(orbits.epsilon_recursive(shape, eps_b, args.m).bits)
-    if args.method in ("coin", "all"):
-        results["coin"] = (
-            [orbits.coin_oracle(shape, eps_b, j) for j in range(args.m + 1)]
-            if run_coin
-            else None
-        )
-    code = EXIT_OK
-    if args.method == "all":
-        present = [v for v in results.values() if v is not None]
-        results["agree"] = all(v == present[0] for v in present)
-        code = EXIT_OK if results["agree"] else EXIT_DISAGREE
-    _emit("epsilon", params, results, started)
-    return code
+    _emit("epsilon", params, result, started)
+    return EXIT_OK if result.get("agree", True) else EXIT_DISAGREE
 
 
 def _cmd_period(args, started) -> int:
@@ -340,7 +289,7 @@ def _cmd_morse(args, started) -> int:
             _emit("morse period", params, check.to_json_dict(), started)
             return EXIT_OK
         if args.mod is None:
-            raise WeightSpecError("morse period needs --mod M or --pow3 R")
+            raise _UsageError("morse period needs --mod M or --pow3 R")
         terms = 2048 if args.max_terms is None else args.max_terms
         report = periodicity.analyze_weight_period(morse.MORSE, args.mod, max_terms=terms)
         params = {"mod": args.mod, "max_terms": args.max_terms}
@@ -482,6 +431,9 @@ def main(argv=None) -> int:
     except WeightSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"weight grammar: {WEIGHT_SPEC_GRAMMAR}", file=sys.stderr)
+        return EXIT_PARSE
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,9 @@ enumerates orbits, computes orbit sizes, builds the minimal orbits of
 binary trees directly from the binary expansion of n+1, evaluates the
 orbit-average weight function, computes the orbit carry sequence by three
 independent routes (definition, multinomial recursion, coin-configuration
-sum), and collapses complete subtrees (reduction).
+sum), and collapses complete subtrees (reduction).  `carry_oracles` holds
+the `epsilon` command's policy over the three routes: one cap on depth and
+order, which routes run, and how far the weight's carries are certified.
 
 Enumeration and the minimal-orbit construction both return an
 `OrbitTable` of columns, built without an `OrbitShape` per row.  A
@@ -30,7 +32,13 @@ from operator import itemgetter
 
 from .arith import ValueTable
 from .errors import DomainError, ResourceLimitError
-from .weights import EpsilonSequence, WeightFunction, WeightMembershipError, _carry_bits
+from .weights import (
+    EpsilonSequence,
+    WeightFunction,
+    WeightMembershipError,
+    _carry_bits,
+    epsilon_of_weight,
+)
 
 __all__ = [
     "OrbitShape",
@@ -44,26 +52,21 @@ __all__ = [
     "epsilon_recursive",
     "coin_oracle",
     "check_coin_caps",
+    "carry_oracles",
     "reduce_orbit",
     "MINIMAL_ORBIT_CAP",
     "enum_cap",
     "COIN_VERTEX_CAP",
     "COIN_ORDER_CAP",
-    "EPSILON_DEPTH_CAP",
-    "epsilon_depth_cap",
-    "EPSILON_ORDER_CAP",
-    "epsilon_order_cap",
+    "EPSILON_CAP",
+    "epsilon_cap",
 ]
 
 COIN_VERTEX_CAP = 6
 COIN_ORDER_CAP = 4
-# Deepest binary shape the carry oracles take; see `epsilon_depth_cap`.
-EPSILON_DEPTH_CAP = 32
-# Largest binary order m the carry oracles take; see `epsilon_order_cap`.
-# The recursive oracle, which `--method all` runs, takes 0.2 s at m = 32,
-# 0.6 s at m = 64 and 3.3 s at m = 128 on (()(())), and 1.3 s at m = 32 and
-# 5.7 s at m = 64 on a path of depth 32 (2-core x86-64, Python 3.11).
-EPSILON_ORDER_CAP = 32
+# Deepest binary shape, and largest binary order, the carry oracles take;
+# see `epsilon_cap`.
+EPSILON_CAP = 32
 
 
 def enum_cap(q: int) -> int:
@@ -78,30 +81,26 @@ def enum_cap(q: int) -> int:
     return {2: 16, 3: 14}.get(q, 13)
 
 
-def epsilon_depth_cap(q: int) -> int:
-    """Deepest shape the `epsilon` command hands to the carry oracles at branching q.
+def epsilon_cap(q: int) -> int:
+    """Deepest shape, and largest order m, `carry_oracles` takes at branching q.
 
     The largest d with d^2 q^3 <= 32^2 * 2^3: 32 at q <= 2, 17 at q = 3,
-    11 at q = 4, 0 past q = 20.  At order 3 (2-core x86-64, Python 3.11) a
-    binary shape of depth 32 takes at most 0.6 s on every method and depth
-    64 up to 5 s; at its cap every q = 3..20 takes at most 0.19 s, where
-    depth 32 took 2.4 s at q = 3 and 17.5 s at q = 4.
+    11 at q = 4, 0 past q = 20.  All times are on 2-core x86-64, Python 3.11.
+
+    Depth: at order 3 a binary shape of depth 32 takes at most 0.6 s on
+    every method and depth 64 up to 5 s; at its cap every q = 3..20 takes
+    at most 0.19 s, where depth 32 took 2.4 s at q = 3 and 17.5 s at q = 4.
+
+    Order: the recursive oracle, which `all` runs, sums over the
+    compositions of every order into q + 1 parts, so its cost grows with m
+    about like m^(q+1).  At q = 2 it takes 0.2 s at m = 32, 0.6 s at
+    m = 64 and 3.3 s at m = 128 on (()(())), and 1.3 s at m = 32 and 5.7 s
+    at m = 64 on a path of depth 32.  At the cap on both depth and order the
+    worst measured shape of every q = 3..20 takes no longer than the binary
+    depth-32 caterpillar at m = 32 (2.1-2.4 s); uncapped, a q = 3
+    caterpillar of depth 17 took 9.4 s at m = 32.
     """
-    return math.isqrt(EPSILON_DEPTH_CAP**2 * 8 // max(q, 2) ** 3)
-
-
-def epsilon_order_cap(q: int) -> int:
-    """Largest order m the `epsilon` command hands to the carry oracles at branching q.
-
-    The largest m with m^2 q^3 <= 32^2 * 2^3, the depth cap's bound: 32 at
-    q <= 2, 17 at q = 3, 11 at q = 4, 0 past q = 20.  The recursive oracle
-    sums over the compositions of every order into q + 1 parts, so its cost
-    grows with m about like m^(q+1).  At the depth and order caps the worst
-    measured shape of every q = 3..20 takes no longer than the binary
-    depth-32 caterpillar at m = 32 (2.1-2.4 s on 2-core x86-64, Python 3.11);
-    uncapped, a q = 3 caterpillar of depth 17 took 9.4 s at m = 32.
-    """
-    return math.isqrt(EPSILON_ORDER_CAP**2 * 8 // max(q, 2) ** 3)
+    return math.isqrt(EPSILON_CAP**2 * 8 // max(q, 2) ** 3)
 
 
 # A key's repr is its parentheses encoding with ", " between children and a
@@ -113,11 +112,16 @@ def _key_vertices(key) -> int:
     return repr(key).count("(")
 
 
-@lru_cache(maxsize=None)
-def _key_depth(key) -> int:
-    if not key:
-        return 1
-    return 1 + max(_key_depth(k) for k in key)
+def _parens_depth(text: str) -> int:
+    """Deepest nesting of a parentheses string, by one linear scan."""
+    depth = deepest = 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch == ")":
+            depth -= 1
+    return deepest
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,7 +176,7 @@ class OrbitShape:
 
     @property
     def depth(self) -> int:
-        return 0 if self.key is None else _key_depth(self.key)
+        return _parens_depth(self.to_parens())
 
     def to_parens(self) -> str:
         """Nested-parentheses encoding, children in canonical order.
@@ -664,40 +668,33 @@ def _add_vertex(key, children: list, subtree: list) -> int:
     return v
 
 
-def check_coin_caps(
-    shape: OrbitShape,
-    m: int,
-    *,
-    max_vertices: int = COIN_VERTEX_CAP,
-    max_order: int = COIN_ORDER_CAP,
-) -> None:
+def _coin_in_caps(shape: OrbitShape, m: int) -> bool:
+    """Whether the coin oracle takes `shape` at order m: binary and within both caps.
+
+    The caps are read when it is called, so a raised module cap applies.
+    """
+    return shape.q == 2 and shape.vertex_count <= COIN_VERTEX_CAP and m <= COIN_ORDER_CAP
+
+
+def check_coin_caps(shape: OrbitShape, m: int) -> None:
     """Raise what `coin_oracle(shape, eps, m)` raises before it reads `eps`.
 
     A non-binary shape or a negative order is a domain error; a nonempty
-    shape past the vertex or order cap is a resource limit.
+    shape past the vertex or order cap is a resource limit.  The empty
+    shape's carries are a constant, so no cap applies to it.
     """
     if shape.q != 2:
         raise DomainError("the coin-configuration oracle is defined for binary orbits only")
     if m < 0:
         raise DomainError("order must be nonnegative")
-    if shape.is_empty:
-        return
-    n_v = shape.vertex_count
-    if n_v > max_vertices or m > max_order:
+    if not (shape.is_empty or _coin_in_caps(shape, m)):
         raise ResourceLimitError(
-            f"coin oracle capped at {max_vertices} vertices and order {max_order}"
-            f" (requested {n_v} vertices, order {m})"
+            f"coin oracle capped at {COIN_VERTEX_CAP} vertices and order {COIN_ORDER_CAP}"
+            f" (requested {shape.vertex_count} vertices, order {m})"
         )
 
 
-def coin_oracle(
-    shape: OrbitShape,
-    eps,
-    m: int,
-    *,
-    max_vertices: int = COIN_VERTEX_CAP,
-    max_order: int = COIN_ORDER_CAP,
-) -> int:
+def coin_oracle(shape: OrbitShape, eps, m: int) -> int:
     """Orbit carry bit e^O_m as a coin-configuration sum, mod 2 (binary only).
 
     Sums prod_v eps_{|coins at v|} over all ways to (a) select edges with no
@@ -706,7 +703,7 @@ def coin_oracle(
     independent per-node choices; the labeled coins are then distributed by
     multinomial count, so only per-vertex totals are enumerated.
     """
-    check_coin_caps(shape, m, max_vertices=max_vertices, max_order=max_order)
+    check_coin_caps(shape, m)
     if shape.is_empty:
         return 1 if m == 0 else 0
     n_v = shape.vertex_count
@@ -732,6 +729,48 @@ def coin_oracle(
                         break
                 total += w
     return total % 2
+
+
+def carry_oracles(shape_text: str, q: int, weight: WeightFunction, m: int, method: str) -> dict:
+    """Orbit carry bits e^O_0..e^O_m of a parens string, by one oracle or all three.
+
+    `method` is "direct", "recursive", "coin" or "all"; the result maps
+    each oracle it names to its bits.  Under "all" the coin oracle runs
+    only where `_coin_in_caps` admits it, else "coin" is None, and "agree"
+    says whether the oracles that ran agree.  No oracle runs before every
+    check has passed, in this order: the raw string deeper than
+    `epsilon_cap(q)`, then m above it (resource limits); a malformed
+    shape, then m < 0 (domain errors); under "coin", `check_coin_caps`;
+    then the weight is certified in F(base q) to order m + depth, what the
+    recursive oracle reads, or m + vertex_count - 1 where that is more and
+    the coin oracle runs.
+    """
+    if method not in ("direct", "recursive", "coin", "all"):
+        raise DomainError(f"unknown carry method {method!r}")
+    depth, cap = _parens_depth(shape_text), epsilon_cap(q)
+    if depth > cap:
+        raise ResourceLimitError(f"carry oracles capped at shape depth {cap} (requested {depth})")
+    if m > cap:
+        raise ResourceLimitError(f"carry oracles capped at order {cap} (requested {m})")
+    shape = OrbitShape.from_parens(shape_text, q)
+    if m < 0:
+        raise DomainError("max order must be nonnegative")
+    if method == "coin":
+        check_coin_caps(shape, m)
+    run_coin = method == "coin" or (method == "all" and _coin_in_caps(shape, m))
+    reach = max(depth, shape.vertex_count - 1) if run_coin else depth
+    eps_b = epsilon_of_weight(weight, m + reach, base=q)
+    result: dict[str, object] = {}
+    if method in ("direct", "all"):
+        result["direct"] = list(epsilon_direct(shape, weight, m).bits)
+    if method in ("recursive", "all"):
+        result["recursive"] = list(epsilon_recursive(shape, eps_b, m).bits)
+    if method in ("coin", "all"):
+        result["coin"] = [coin_oracle(shape, eps_b, j) for j in range(m + 1)] if run_coin else None
+    if method == "all":
+        ran = [bits for bits in result.values() if bits is not None]
+        result["agree"] = all(bits == ran[0] for bits in ran)
+    return result
 
 
 def reduce_orbit(shape: OrbitShape) -> tuple[OrbitShape, int]:

@@ -34,7 +34,6 @@ __all__ = [
     "truncation_index",
     "detect_period",
     "pure_periodicity_sufficient",
-    "weighted_residues",
     "analyze_weight_period",
 ]
 
@@ -270,15 +269,6 @@ def pure_periodicity_sufficient(pq: PQPair, modulus: int) -> PurePeriodicityChec
     return PurePeriodicityCheck(not reasons, tuple(reasons))
 
 
-def weighted_residues(
-    b: WeightFunction, modulus: int, count: int, height_cap: int | None = None
-) -> list[int]:
-    """First `count` weighted Catalan residues mod `modulus`."""
-    if count < 1:
-        raise DomainError("need at least one term")
-    return catalan.weighted_catalan_series(b, count - 1, height_cap=height_cap, modulus=modulus)
-
-
 def analyze_weight_period(
     b: WeightFunction,
     modulus: int,
@@ -306,5 +296,7 @@ def analyze_weight_period(
         pq = continued_fraction_pq(b, k)
         width = max(1, pq.Q.degree)
         certified = True
-    residues = weighted_residues(b, modulus, max_terms, height_cap=cap)
+    if max_terms < 1:
+        raise DomainError("need at least one term")
+    residues = catalan.weighted_catalan_series(b, max_terms - 1, height_cap=cap, modulus=modulus)
     return detect_period(residues, modulus, max_terms, width, certified=certified)

@@ -258,7 +258,7 @@ class TestEpsilon:
 
     @pytest.mark.parametrize("method", ["direct", "recursive", "all"])
     def test_depth_cap(self, capsys, method):
-        cap = orbits.EPSILON_DEPTH_CAP
+        cap = orbits.EPSILON_CAP
         at_cap = "(" * cap + ")" * cap
         env = run_json(
             capsys, "epsilon", "--weight", "preset:morse", "--shape", at_cap,
@@ -279,7 +279,7 @@ class TestEpsilon:
 
     @pytest.mark.parametrize("q, weight, cap", [(3, "poly:1,0,9", 17), (4, "poly:1,0,16", 11)])
     def test_depth_cap_depends_on_q(self, capsys, q, weight, cap):
-        assert orbits.epsilon_depth_cap(q) == cap
+        assert orbits.epsilon_cap(q) == cap
         at_cap = "(" * cap + ")" * cap
         env = run_json(
             capsys, "epsilon", "--q", str(q), "--weight", weight, "--shape", at_cap,
@@ -288,7 +288,7 @@ class TestEpsilon:
         assert env["result"]["agree"] is True
         assert env["result"]["direct"] == env["result"]["recursive"]
         # at depth 32, the binary cap, q = 3 took 2.4 s and q = 4 took 17.5 s
-        for depth in (cap + 1, orbits.EPSILON_DEPTH_CAP):
+        for depth in (cap + 1, orbits.EPSILON_CAP):
             deep = "(" * depth + ")" * depth
             code, out, err = run_cli(
                 capsys, "epsilon", "--q", str(q), "--weight", weight, "--shape", deep,
@@ -301,7 +301,7 @@ class TestEpsilon:
 
     @pytest.mark.parametrize("method", ["direct", "recursive", "coin", "all"])
     def test_order_cap(self, capsys, method):
-        cap = orbits.EPSILON_ORDER_CAP
+        cap = orbits.EPSILON_CAP
         if method != "coin":  # the coin oracle has its own, lower order cap
             env = run_json(
                 capsys, "epsilon", "--weight", "preset:morse", "--shape", "()",
@@ -319,8 +319,8 @@ class TestEpsilon:
 
     @pytest.mark.parametrize("q, weight, cap", [(3, "poly:1,0,9", 17), (4, "poly:1,0,16", 11)])
     def test_order_cap_depends_on_q(self, capsys, q, weight, cap):
-        assert orbits.epsilon_order_cap(q) == cap
-        assert orbits.epsilon_order_cap(2) == orbits.EPSILON_ORDER_CAP
+        assert orbits.epsilon_cap(q) == cap
+        assert orbits.epsilon_cap(2) == orbits.EPSILON_CAP
         env = run_json(
             capsys, "epsilon", "--q", str(q), "--weight", weight, "--shape", "(()())",
             "--m", str(cap), "--method", "all",
@@ -328,7 +328,7 @@ class TestEpsilon:
         assert env["result"]["agree"] is True
         assert len(env["result"]["direct"]) == cap + 1
         # at m = 32, the binary cap, a q = 3 caterpillar of depth 17 took 9.4 s
-        for m in (cap + 1, orbits.EPSILON_ORDER_CAP):
+        for m in (cap + 1, orbits.EPSILON_CAP):
             code, out, err = run_cli(
                 capsys, "epsilon", "--q", str(q), "--weight", weight, "--shape", "()",
                 "--m", str(m), "--method", "recursive",
@@ -404,6 +404,23 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "compute", "--weight", "bogus", "--n", "2")
         assert code == 2
         assert "preset:NAME" in err  # grammar reminder
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["valuation", "--weight", "preset:morse", "--p", "2", "--range", "5..3"],
+             "range '5..3' is empty"),
+            (["morse", "profile", "--expr", "cb", "--p", "2", "--range", "x..3"],
+             "range 'x..3' has non-integer endpoints"),
+            (["check", "--weight", "table:1,3,5,7,9,11", "--theorem", "ps", "--window", "3..1"],
+             "range '3..1' is empty"),
+            (["morse", "period"], "morse period needs --mod M or --pow3 R"),
+        ],
+    )
+    def test_usage_error_prints_no_weight_grammar(self, capsys, argv, message):
+        # these printed the weight grammar under a range or option error
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (EXIT_PARSE, "", f"error: {message}\n")
 
     def test_domain_error(self, capsys):
         code, _, err = run_cli(

@@ -143,6 +143,14 @@ CASES = [
     ('epsilon --q 3 --weight poly:1,0,9 --shape (()) --m 18', 4, 'error: carry oracles capped at order 17 (requested 18)\n', 'e3b0c44298fc1c14'),
     # `--method coin` exited 0 with "coin": [] until it shared the order check
     ('epsilon --weight preset:morse --shape (()) --m -1 --method coin', 3, 'error: max order must be nonnegative\n', 'e3b0c44298fc1c14'),
+    # where `all` leaves the coin oracle out ("coin": null): the empty shape
+    # past the coin order cap, which `coin` alone still runs; a ternary shape,
+    # which `coin` refuses; a 7-vertex path, past the coin vertex cap
+    ('epsilon --weight preset:morse --shape "" --m 5 --method all', 0, '', '3af947b4663d9873'),
+    ('epsilon --weight preset:morse --shape "" --m 5 --method coin', 0, '', '03adcf721ba69344'),
+    ('epsilon --q 3 --weight poly:1,0,9 --shape (()) --m 3 --method all', 0, '', 'bd67cdcc956d291c'),
+    ('epsilon --q 3 --weight poly:1,0,9 --shape (()) --m 3 --method coin', 3, 'error: the coin-configuration oracle is defined for binary orbits only\n', 'e3b0c44298fc1c14'),
+    ('epsilon --weight preset:morse --shape ((((((())))))) --m 3 --method all', 0, '', 'cda6370dc089d9f3'),
     ('period --weight preset:morse --mod 7 --max-terms 500', 0, '', 'd9c1e11fbce8a52d'),
     ('period --weight preset:morse --mod 11 --max-terms 40', 0, '', 'd48478ba111cbc84'),
     ('period --weight preset:ones --mod 5 --max-terms 300', 0, '', '27858d039a0c96a2'),
@@ -162,7 +170,8 @@ CASES = [
     ('morse period --mod 7 --max-terms 200', 0, '', '006ec8dc27bb37c4'),
     ('morse period --pow3 3 --max-terms 300', 0, '', 'a7d7b9e0cbbaef39'),
     ('morse period --pow3 4 --max-terms 0', 3, 'error: need at least one term\n', 'e3b0c44298fc1c14'),
-    ('morse period', 2, 'error: morse period needs --mod M or --pow3 R\nweight grammar: preset:NAME | poly:c0,c1,... | table:v0,v1,...\n', 'e3b0c44298fc1c14'),
+    # a usage error, not a weight spec error: no weight grammar under it
+    ('morse period', 2, 'error: morse period needs --mod M or --pow3 R\n', 'e3b0c44298fc1c14'),
     ('morse profile --expr cb-1 --p 2 --range 1..60 --format csv', 0, '', '77f13c616b5e4cf1'),
     ('morse fit-alpha --which 2adic --n-max 256 --depth 4', 0, '', 'b4bff053a61e2775'),
     ('morse fit-alpha --which 2adic --n-max 64 --depth 3', 0, '', '573a1ec75f64d0ce'),

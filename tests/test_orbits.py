@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import re
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from wcatalan import orbits
 from wcatalan.catalan import catalan_number, weighted_catalan
+from wcatalan.cli import main
 from wcatalan.errors import DomainError, ResourceLimitError
 from wcatalan.orbits import (
     OrbitShape,
@@ -28,7 +30,12 @@ from wcatalan.orbits import (
     orbit_size,
     reduce_orbit,
 )
-from wcatalan.weights import WeightFunction, WeightMembershipError, epsilon_of_weight
+from wcatalan.weights import (
+    WeightFunction,
+    WeightMembershipError,
+    epsilon_of_weight,
+    parse_weight_spec,
+)
 
 MORSE = WeightFunction.preset("morse")
 ONES = WeightFunction.preset("ones")
@@ -234,6 +241,11 @@ def reference_vertices(key) -> int:
     return 1 + sum(reference_vertices(k) for k in key)
 
 
+@cache
+def reference_depth(key) -> int:
+    return 1 + max(map(reference_depth, key), default=0)
+
+
 def assert_rows_match_references(shape):
     key, q = shape.key, shape.q
     assert orbit_size(shape) == reference_size(key, q), (q, key)
@@ -255,6 +267,14 @@ def parens_strings(draw, q):
 
 
 class TestRowPath:
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_depth_is_the_reference_depth(self, q):
+        # the depth is read off the parens string, not off the nested key
+        for n in range(1, 13):
+            for shape in enumerate_orbits(n, q):
+                assert shape.depth == reference_depth(shape.key), (q, shape.key)
+        assert OrbitShape.empty(q).depth == 0
+
     @pytest.mark.parametrize("q, n_max", [(2, 14), (3, 10), (4, 9), (5, 8)])
     def test_every_enumerated_key(self, q, n_max):
         # the parens and sizes the enumerator builds, against the references
@@ -700,19 +720,64 @@ class TestCoinOracle:
         with pytest.raises(DomainError, match="descendant"):
             config.validate()
 
-    def test_caps(self):
+    def test_caps(self, monkeypatch):
         eps_b = epsilon_of_weight(MORSE, 20)
         with pytest.raises(ResourceLimitError):
             coin_oracle(complete_shape(3), eps_b, 1)
         with pytest.raises(ResourceLimitError):
             coin_oracle(LEAF, eps_b, 5)
-        assert coin_oracle(complete_shape(3), eps_b, 1, max_vertices=7) in (0, 1)
+        # the caps are read when the oracle is called: a raised vertex cap
+        # admits the 7-vertex complete tree, whose carries collapse
+        monkeypatch.setattr(orbits, "COIN_VERTEX_CAP", 7)
+        assert coin_oracle(complete_shape(3), eps_b, 1) == 0
 
     def test_binary_only(self):
         b = WeightFunction.polynomial([1, 0, 9])
         eps_b = epsilon_of_weight(b, 6, base=3)
         with pytest.raises(DomainError, match="binary"):
             coin_oracle(OrbitShape.leaf(3), eps_b, 1)
+
+
+class TestCarryOracles:
+    # every case fails each later check as well, so only the order of the
+    # checks decides which error comes out
+    ERRORS = [
+        ("(" * 33, 2, "preset:morse", 33, "all", ResourceLimitError, "depth 32 (requested 33)"),
+        ("(", 2, "preset:morse", 33, "coin", ResourceLimitError, "order 32 (requested 33)"),
+        ("(()", 2, "preset:morse", -1, "coin", DomainError, "expected ')' at position 3"),
+        ("(()())", 3, "table:1", -1, "coin", DomainError, "max order must be nonnegative"),
+        ("(()())", 3, "table:1", 1, "coin", DomainError, "binary orbits only"),
+        ("((()())(()()))", 2, "table:1", 1, "coin", ResourceLimitError, "6 vertices and order 4"),
+        ("(())", 2, "table:1,9", 3, "direct", DomainError, "at least 7 values to certify order 5"),
+        ("(())", 3, "poly:1,2", 3, "all", DomainError, "not in F(base 3)"),
+    ]
+
+    @pytest.mark.parametrize("shape, q, weight, m, method, error, message", ERRORS)
+    def test_errors_in_the_order_the_cli_reports(
+        self, capsys, shape, q, weight, m, method, error, message
+    ):
+        with pytest.raises(error, match=re.escape(message)) as caught:
+            orbits.carry_oracles(shape, q, parse_weight_spec(weight), m, method)
+        argv = ["epsilon", "--weight", weight, "--shape", shape, "--m", str(m)]
+        code = main(argv + ["--q", str(q), "--method", method])
+        captured = capsys.readouterr()
+        exit_code = 4 if error is ResourceLimitError else 3
+        assert (code, captured.out, captured.err) == (exit_code, "", f"error: {caught.value}\n")
+
+    def test_results(self):
+        # under "all" the coin oracle keeps to its order cap even on the
+        # empty shape, whose carries "coin" computes at any order
+        assert orbits.carry_oracles("", 2, MORSE, 5, "all") == {
+            "direct": [1, 0, 0, 0, 0, 0],
+            "recursive": [1, 0, 0, 0, 0, 0],
+            "coin": None,
+            "agree": True,
+        }
+        assert orbits.carry_oracles("", 2, MORSE, 5, "coin") == {"coin": [1, 0, 0, 0, 0, 0]}
+        got = orbits.carry_oracles("(())", 2, MORSE, 2, "all")
+        assert got["direct"] == got["recursive"] == got["coin"] and got["agree"]
+        with pytest.raises(DomainError, match="unknown carry method"):
+            orbits.carry_oracles("()", 2, MORSE, 1, "every")
 
 
 class TestReduction:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcatalan import morse, periodicity
+from wcatalan import catalan, morse, periodicity
 from wcatalan.arith import series_divide_exact
 from wcatalan.catalan import weighted_catalan_series
 from wcatalan.errors import DomainError, ResourceLimitError
@@ -17,7 +17,6 @@ from wcatalan.periodicity import (
     detect_period,
     pure_periodicity_sufficient,
     truncation_index,
-    weighted_residues,
 )
 from wcatalan.weights import WeightFunction, parse_weight_spec
 
@@ -409,7 +408,7 @@ class TestWindowCap:
         def no_residues(*args, **kwargs):
             raise AssertionError("residues computed above the window cap")
 
-        monkeypatch.setattr(periodicity, "weighted_residues", no_residues)
+        monkeypatch.setattr(catalan, "weighted_catalan_series", no_residues)
         monkeypatch.setattr(periodicity, "truncation_index", no_residues)
         with pytest.raises(ResourceLimitError, match="capped at 4194304 terms"):
             analyze_weight_period(MORSE, 7, max_terms=periodicity.MAX_WINDOW + 1)
@@ -481,9 +480,3 @@ class TestPurePeriodicity:
         check = pure_periodicity_sufficient(pair, 25)
         assert not check.sufficient
         assert any("leading" in r for r in check.reasons)
-
-
-class TestWeightedResidues:
-    def test_prefix_of_series(self):
-        got = weighted_residues(MORSE, 7, 10, height_cap=3)
-        assert got == weighted_catalan_series(MORSE, 9, modulus=7)
