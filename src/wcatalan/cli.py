@@ -304,16 +304,15 @@ def _cmd_morse(args, started) -> int:
         params = {"expr": args.expr, "p": args.p, "range": args.range}
         _emit("morse profile", params, profile.to_json_dict(), started)
         return EXIT_OK
-    if args.morse_cmd == "fit-alpha":
-        report = morse.conjecture_report(args.which, args.n_max, args.depth)
-        fit = report["fit"] if "fit" in report else report
-        params = {"which": args.which, "n_max": args.n_max, "depth": args.depth}
-        _emit("morse fit-alpha", params, fit, started)
-        return EXIT_OK
-    # report
+    # report, or fit-alpha: the report's fit
+    fit_only = args.morse_cmd == "fit-alpha"
+    if fit_only and args.which == "3adic":
+        raise DomainError(
+            "fit-alpha takes 2adic, 2adic-general:k or 5adic; for 3adic run `morse report`"
+        )
     report = morse.conjecture_report(args.which, args.n_max, args.depth)
     params = {"which": args.which, "n_max": args.n_max, "depth": args.depth}
-    _emit("morse report", params, report, started)
+    _emit(f"morse {args.morse_cmd}", params, report["fit"] if fit_only else report, started)
     return EXIT_OK
 
 

@@ -306,26 +306,21 @@ def fit_padic_alpha(data, p: int, depth: int) -> PadicFit:
     if p < 2:
         raise DomainError("p must be at least 2")
 
+    # Above level max t + 1 a datum's test reads r mod p^(max t + 1) only, so
+    # every lift of every survivor survives and none is unique again.
     current = [0]
     unique: tuple[int, int] = (0, 0)  # (level, residue)
-    for level in range(1, depth + 1):
+    for level in range(1, min(depth, max(t for _, t in data) + 1) + 1):
         step = p ** (level - 1)
         candidates = [r + d * step for r in current for d in range(p)]
-        survivors = [r for r in candidates if not _fit_violations(data, p, r, level)]
-        if not survivors:
-            best = min(candidates, key=lambda r: len(_fit_violations(data, p, r, level)))
+        conflicts = [_fit_violations(data, p, r, level) for r in candidates]
+        current = [r for r, bad in zip(candidates, conflicts) if not bad]
+        if not current:
             lvl, res = unique
-            digits = _digits_of(res, p, lvl)
-            return PadicFit(
-                p,
-                digits,
-                lvl,
-                False,
-                tuple(_fit_violations(data, p, best, level)[:16]),
-            )
-        current = survivors
-        if len(survivors) == 1:
-            unique = (level, survivors[0])
+            fewest = min(conflicts, key=len)  # the least-violating candidate's
+            return PadicFit(p, _digits_of(res, p, lvl), lvl, False, tuple(fewest[:16]))
+        if len(current) == 1:
+            unique = (level, current[0])
     lvl, res = unique
     return PadicFit(p, _digits_of(res, p, lvl), lvl, True, ())
 
@@ -372,149 +367,125 @@ def mod3r_period_check(r: int, window: int | None = None) -> Mod3rPeriodCheck:
     return Mod3rPeriodCheck(r, bound, report, divides)
 
 
+# One row per conjecture: its statement, p, the expression, the window's
+# first n, the least n_max it takes and the refusal below that.
+_CONJECTURES = {
+    "2adic": ("xi_2(L^({power})_n - C_n) = s_2(n) + xi_2(n - alpha) + c", 2, "cb-c", 2, 8,
+              "window too small to estimate the additive constant"),
+    "5adic": ("xi_5(L_n) = 2 (n even) | xi_5(n - alpha) + 3 (n odd), n >= 4", 5, "cb", 4, 16,
+              "window too small"),
+    "3adic": ("xi_3(L_n - 1) depends only on (xi_3(n - alpha), next digit) for odd n >= 3",
+              3, "cb-1", 2, 54, "window too small to refine residue classes"),
+}
+
+
 def conjecture_report(which: str, n_max: int, depth: int = 6) -> dict:
     """Consistency report for one of the valuation conjectures.
 
-    which is "2adic", "2adic-general:k", "5adic" or "3adic".  The report
-    always records the window and the first unexplained datum, if any.
+    which is "2adic", "2adic-general:k" (the 2adic row at power k, 2 by
+    default), "5adic" or "3adic".  The id, the window, the power and the
+    depth are checked before any valuation is computed.  The report always
+    records the window and the first unexplained datum, if any.
     """
     name, sep, arg = which.partition(":")
-    if name == "2adic" and not sep:
-        return _report_2adic(n_max, depth, 1)
+    power = 1
     if name == "2adic-general":
         try:
-            k = int(arg) if sep else 2
+            power = int(arg) if sep else 2
         except ValueError:
             raise DomainError(f"bad power in '{which}'") from None
-        return _report_2adic(n_max, depth, k)
-    if name == "5adic":
-        return _report_5adic(n_max, depth)
+        name = "2adic"
+    elif sep or name not in _CONJECTURES:
+        raise DomainError(
+            f"unknown conjecture '{which}'; expected 2adic, 2adic-general:k, 5adic or 3adic"
+        )
+    statement, p, expr, first, least, refusal = _CONJECTURES[name]
+    if n_max < least:
+        raise DomainError(refusal)
+    weight = morse_weight(power)
+    if depth < 1:
+        raise DomainError("depth must be at least 1")
+    vals = _certified_valuations(weight, expr, p, n_max)
+    report = {"conjecture": statement.format(power=power), "window": [first, n_max]}
     if name == "3adic":
-        return _report_3adic(n_max, depth)
-    raise DomainError(
-        f"unknown conjecture '{which}'; expected 2adic, 2adic-general:k, 5adic or 3adic"
+        return report | _descend_3adic(vals, n_max, depth)
+    if name == "2adic":
+        window = range(first, n_max + 1)
+        rows = [(n, vals[n]) for n in window if vals[n] is not None]
+        # c is the least xi_2(...) - s_2(n) over the window, since
+        # xi_2(n - alpha) vanishes on a positive-density set of n
+        c = min(v - digit_sum(2, n) for n, v in rows)
+        fit, checks = _fit_and_check(rows, p, lambda n: digit_sum(2, n) + c, depth)
+        zero_rows = [n for n in window if vals[n] is None]
+        report.update(c=c, fit=fit.to_json_dict(), zero_rows=zero_rows)
+        exceptions = []
+    else:
+        # xi_5(L_n) = 2 for even n >= 4; the odd rows below the offset 3 are shallow
+        even = [{"n": n, "valuation": vals[n]} for n in range(4, n_max + 1, 2) if vals[n] != 2]
+        odd_rows = [(n, vals[n]) for n in range(5, n_max + 1, 2) if vals[n] is not None]
+        shallow = [{"n": n, "valuation": v} for n, v in odd_rows if v < 3]
+        fit, checks = _fit_and_check(odd_rows, p, lambda n: 3, depth)
+        report.update(even_all_2=not even, even_exceptions=even[:8])
+        report.update(odd_shallow_rows=shallow[:8], fit=fit.to_json_dict())
+        exceptions = even + shallow
+    report.update(checks)
+    report["consistent_over_window"] = (
+        fit.consistency and not exceptions and checks["first_unexplained"] is None
     )
+    return report
 
 
-def _check_fit(fit: PadicFit, rows, offset) -> tuple[int, int, dict | None]:
-    """Test each row (n, v) against v = offset(n) + xi_p(n - alpha), alpha as fitted.
+def _fit_and_check(rows, p: int, offset, depth: int) -> tuple[PadicFit, dict]:
+    """Fit alpha to v = offset(n) + xi_p(n - alpha), then test every row (n, v).
 
-    Returns (verified, unverifiable, first_unexplained).  A row with
-    n = alpha mod p^depth is unverifiable: its xi_p(n - alpha) is beyond the
-    fitted depth.  Nothing is verified when the fit pinned no digit.
+    The fit reads the rows with v >= offset(n).  A row with n = alpha mod
+    p^depth is unverifiable: its xi_p(n - alpha) is beyond the fitted
+    depth.  Nothing is verified when the fit pinned no digit.
     """
+    shifted = [(n, v, offset(n)) for n, v in rows]
+    fit = fit_padic_alpha([(n, v - o) for n, v, o in shifted if v >= o], p, depth)
     verified = unverifiable = 0
     first_unexplained = None
     if fit.certified_depth:
         a, md = fit.residue, fit.modulus
-        for n, v in rows:
+        for n, v, o in shifted:
             d = (n - a) % md
             if d == 0:
                 unverifiable += 1
                 continue
-            predicted = offset(n) + valuation(fit.p, d)
+            predicted = o + valuation(p, d)
             verified += 1
             if predicted != v and first_unexplained is None:
                 first_unexplained = {"n": n, "observed": v, "predicted": predicted}
-    return verified, unverifiable, first_unexplained
-
-
-def _report_2adic(n_max: int, depth: int, power: int) -> dict:
-    """Fit xi_2(L^(k)_n - C_n) = s_2(n) + xi_2(n - alpha) + c over 2 <= n <= n_max.
-
-    c is estimated as the minimum of xi_2(...) - s_2(n) over the window,
-    since xi_2(n - alpha) vanishes on a positive-density set of n.
-    """
-    if n_max < 8:
-        raise DomainError("window too small to estimate the additive constant")
-    weight = morse_weight(power)
-    vals = _certified_valuations(weight, "cb-c", 2, n_max)
-    rows = [(n, vals[n]) for n in range(2, n_max + 1) if vals[n] is not None]
-    zero_rows = [n for n in range(2, n_max + 1) if vals[n] is None]
-    c = min(v - digit_sum(2, n) for n, v in rows)
-    data = [(n, v - digit_sum(2, n) - c) for n, v in rows]
-    fit = fit_padic_alpha(data, 2, depth)
-    verified, unverifiable, first_unexplained = _check_fit(
-        fit, rows, lambda n: digit_sum(2, n) + c
-    )
-    return {
-        "conjecture": f"xi_2(L^({power})_n - C_n) = s_2(n) + xi_2(n - alpha) + c",
-        "window": [2, n_max],
-        "c": c,
-        "fit": fit.to_json_dict(),
-        "zero_rows": zero_rows,
+    return fit, {
         "verified_rows": verified,
         "unverifiable_rows": unverifiable,
         "first_unexplained": first_unexplained,
-        "consistent_over_window": fit.consistency and first_unexplained is None,
     }
 
 
-def _report_5adic(n_max: int, depth: int) -> dict:
-    """Check xi_5(L_n) = 2 for even n and fit xi_5(L_n) = xi_5(n - alpha) + 3 for odd n."""
-    if n_max < 16:
-        raise DomainError("window too small")
-    vals = _certified_valuations(MORSE, "cb", 5, n_max)
-    even_exceptions = [
-        {"n": n, "valuation": vals[n]}
-        for n in range(4, n_max + 1, 2)
-        if vals[n] != 2
-    ]
-    odd_rows = [(n, vals[n]) for n in range(5, n_max + 1, 2) if vals[n] is not None]
-    shallow = [{"n": n, "valuation": v} for n, v in odd_rows if v < 3]
-    data = [(n, v - 3) for n, v in odd_rows if v >= 3]
-    fit = fit_padic_alpha(data, 5, depth)
-    verified, unverifiable, first_unexplained = _check_fit(fit, odd_rows, lambda n: 3)
-    return {
-        "conjecture": "xi_5(L_n) = 2 (n even) | xi_5(n - alpha) + 3 (n odd), n >= 4",
-        "window": [4, n_max],
-        "even_all_2": not even_exceptions,
-        "even_exceptions": even_exceptions[:8],
-        "odd_shallow_rows": shallow[:8],
-        "fit": fit.to_json_dict(),
-        "verified_rows": verified,
-        "unverifiable_rows": unverifiable,
-        "first_unexplained": first_unexplained,
-        "consistent_over_window": (
-            fit.consistency and not even_exceptions and not shallow
-            and first_unexplained is None
-        ),
-    }
+def _descend_3adic(vals: list[int | None], n_max: int, depth: int) -> dict:
+    """Group xi_3(L_n - 1) over odd n by (xi_3(n - alpha), next digit).
 
-
-def _report_3adic(n_max: int, depth: int) -> dict:
-    """Tabulate xi_3(L_n - 1) and test the grouping by (xi_3(n - alpha), next digit).
-
-    Even n are tabulated (expected value 2) but excluded from the alpha
-    fit, which runs over odd n >= 3 by descending through the residue
-    classes mod 2*3^j that keep refining.
+    Even n >= 2 are tabulated (expected value 2) and odd n >= 3 descend.
+    Over odd n, the classes mod 2*3^level refine level by level, following
+    the class whose values still vary (it contains alpha); the others must
+    be single-valued.  The levels climb to depth while 2*3^level <= n_max // 6.
     """
-    if n_max < 54:
-        raise DomainError("window too small to refine residue classes")
-    vals = _certified_valuations(MORSE, "cb-1", 3, n_max)
     even_values = sorted({vals[n] for n in range(2, n_max + 1, 2) if vals[n] is not None})
-    odd_rows = {n: vals[n] for n in range(3, n_max + 1, 2) if vals[n] is not None}
-
-    # Descend through classes mod 2*3^j, following the class whose values
-    # still vary (it contains alpha); the others must be single-valued.
-    max_level = depth
-    while 2 * 3**max_level > max(n_max // 6, 2):
-        max_level -= 1
-    max_level = max(max_level, 1)
+    odd_rows = [(n, vals[n]) for n in range(3, n_max + 1, 2) if vals[n] is not None]
+    max_level = 1
+    while max_level < depth and 2 * 3 ** (max_level + 1) <= n_max // 6:
+        max_level += 1
     class_tables: dict[int, dict[int, list[int]]] = {}
     anchor = 1  # odd class representative mod 2*3^level containing alpha
     level_reached = 0
     for level in range(1, max_level + 1):
         mod = 2 * 3**level
-        if level == 1:
-            reps = [r for r in range(1, mod, 2)]
-        else:
-            prev_mod = 2 * 3 ** (level - 1)
-            reps = [anchor + i * prev_mod for i in range(3)]
-        table = {}
-        for rep in reps:
-            members = [v for n, v in odd_rows.items() if n % mod == rep % mod]
-            table[rep % mod] = sorted(set(members))
+        table = {
+            rep: sorted({v for n, v in odd_rows if n % mod == rep})
+            for rep in range(anchor, mod, mod // 3)
+        }
         class_tables[mod] = table
         populated = {rep: vs for rep, vs in table.items() if vs}
         if not populated:
@@ -522,39 +493,30 @@ def _report_3adic(n_max: int, depth: int) -> dict:
         anchor = max(populated, key=lambda rep: (max(populated[rep]), rep))
         level_reached = level
 
-    alpha_mod3 = anchor % 3**level_reached if level_reached else 0
-    digits = _digits_of(alpha_mod3, 3, level_reached)
-
-    groups: dict[str, list[int]] = {}
-    md = 3**level_reached if level_reached else 1
-    for n, v in odd_rows.items():
-        d = (n - alpha_mod3) % md
-        if level_reached == 0 or d == 0:
+    md = 3**level_reached
+    alpha = anchor % md
+    groups: dict[str, set[int]] = {}
+    for n, v in odd_rows:
+        d = (n - alpha) % md
+        if d == 0:  # always at level 0, where md = 1
             key = f"xi>={level_reached}"
         else:
             xi = valuation(3, d)
-            digit = (d // 3**xi) % 3
-            key = f"xi={xi},digit={digit}"
-        groups.setdefault(key, [])
-        if v not in groups[key]:
-            groups[key].append(v)
-    for vs in groups.values():
-        vs.sort()
+            key = f"xi={xi},digit={(d // 3**xi) % 3}"
+        groups.setdefault(key, set()).add(v)
     single_valued = all(
         len(vs) == 1 for key, vs in groups.items() if not key.startswith("xi>=")
     )
     return {
-        "conjecture": "xi_3(L_n - 1) depends only on (xi_3(n - alpha), next digit) for odd n >= 3",
-        "window": [2, n_max],
         "even_value_set": even_values,
         "classes": {
             str(mod): {str(rep): vs for rep, vs in table.items()}
             for mod, table in class_tables.items()
         },
-        "alpha_digits_lsb_first": list(digits),
-        "alpha_mod": alpha_mod3,
+        "alpha_digits_lsb_first": list(_digits_of(alpha, 3, level_reached)),
+        "alpha_mod": alpha,
         "alpha_modulus": md,
-        "groups": groups,
+        "groups": {key: sorted(vs) for key, vs in groups.items()},
         "single_valued": single_valued,
         "consistent_over_window": single_valued and even_values == [2],
     }

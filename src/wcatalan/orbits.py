@@ -166,9 +166,7 @@ class OrbitShape:
 
     @property
     def children(self) -> tuple["OrbitShape", ...]:
-        if self.key is None:
-            return ()
-        return tuple(OrbitShape(self.q, k) for k in self.key)
+        return tuple(OrbitShape(self.q, k) for k in self.key or ())
 
     @property
     def vertex_count(self) -> int:
@@ -669,25 +667,26 @@ def _add_vertex(key, children: list, subtree: list) -> int:
 
 
 def _coin_in_caps(shape: OrbitShape, m: int) -> bool:
-    """Whether the coin oracle takes `shape` at order m: binary and within both caps.
+    """Whether the coin oracle takes `shape` at order m: binary, and empty or within both caps.
 
-    The caps are read when it is called, so a raised module cap applies.
+    The empty shape's carries are a constant, so no cap applies to it.  The
+    caps are read when it is called, so a raised module cap applies.
     """
-    return shape.q == 2 and shape.vertex_count <= COIN_VERTEX_CAP and m <= COIN_ORDER_CAP
+    in_caps = shape.vertex_count <= COIN_VERTEX_CAP and m <= COIN_ORDER_CAP
+    return shape.q == 2 and (shape.is_empty or in_caps)
 
 
 def check_coin_caps(shape: OrbitShape, m: int) -> None:
     """Raise what `coin_oracle(shape, eps, m)` raises before it reads `eps`.
 
-    A non-binary shape or a negative order is a domain error; a nonempty
-    shape past the vertex or order cap is a resource limit.  The empty
-    shape's carries are a constant, so no cap applies to it.
+    A non-binary shape or a negative order is a domain error; a shape that
+    `_coin_in_caps` refuses is a resource limit.
     """
     if shape.q != 2:
         raise DomainError("the coin-configuration oracle is defined for binary orbits only")
     if m < 0:
         raise DomainError("order must be nonnegative")
-    if not (shape.is_empty or _coin_in_caps(shape, m)):
+    if not _coin_in_caps(shape, m):
         raise ResourceLimitError(
             f"coin oracle capped at {COIN_VERTEX_CAP} vertices and order {COIN_ORDER_CAP}"
             f" (requested {shape.vertex_count} vertices, order {m})"

@@ -143,11 +143,12 @@ CASES = [
     ('epsilon --q 3 --weight poly:1,0,9 --shape (()) --m 18', 4, 'error: carry oracles capped at order 17 (requested 18)\n', 'e3b0c44298fc1c14'),
     # `--method coin` exited 0 with "coin": [] until it shared the order check
     ('epsilon --weight preset:morse --shape (()) --m -1 --method coin', 3, 'error: max order must be nonnegative\n', 'e3b0c44298fc1c14'),
-    # where `all` leaves the coin oracle out ("coin": null): the empty shape
-    # past the coin order cap, which `coin` alone still runs; a ternary shape,
-    # which `coin` refuses; a 7-vertex path, past the coin vertex cap
-    ('epsilon --weight preset:morse --shape "" --m 5 --method all', 0, '', '3af947b4663d9873'),
+    # the empty shape past the coin order cap: `all` runs the coin oracle on
+    # it as `coin` does (it printed "coin": null under `all`)
+    ('epsilon --weight preset:morse --shape "" --m 5 --method all', 0, '', '3afaea584a33bcca'),
     ('epsilon --weight preset:morse --shape "" --m 5 --method coin', 0, '', '03adcf721ba69344'),
+    # where `all` leaves the coin oracle out ("coin": null): a ternary shape,
+    # which `coin` refuses; a 7-vertex path, past the coin vertex cap
     ('epsilon --q 3 --weight poly:1,0,9 --shape (()) --m 3 --method all', 0, '', 'bd67cdcc956d291c'),
     ('epsilon --q 3 --weight poly:1,0,9 --shape (()) --m 3 --method coin', 3, 'error: the coin-configuration oracle is defined for binary orbits only\n', 'e3b0c44298fc1c14'),
     ('epsilon --weight preset:morse --shape ((((((())))))) --m 3 --method all', 0, '', 'cda6370dc089d9f3'),
@@ -177,6 +178,22 @@ CASES = [
     ('morse fit-alpha --which 2adic --n-max 64 --depth 3', 0, '', '573a1ec75f64d0ce'),
     ('morse report --which 5adic --n-max 200 --depth 3', 0, '', 'aad88c0d98ce040c'),
     ('morse report --which 3adic --n-max 100 --depth 2', 0, '', '435bc9f508197cb7'),
+    # the 2-adic family, the default and explicit powers, and an
+    # inconsistent fit with a conflict (power 2, a 32-row window)
+    ('morse report --which 2adic --n-max 300 --depth 6', 0, '', '9fc7444e5044fc85'),
+    ('morse report --which 2adic-general:3 --n-max 300 --depth 6', 0, '', '9b7ff72a02f7d1bd'),
+    ('morse report --which 2adic-general --n-max 100 --depth 4', 0, '', '559d163a1d600eb4'),
+    ('morse report --which 2adic-general:2 --n-max 32 --depth 6', 0, '', 'cbfe9a85c70d1c4b'),
+    ('morse fit-alpha --which 5adic --n-max 200 --depth 3', 0, '', 'a6a8af29e01a8e6a'),
+    # the fitter stops above the deepest datum: depth 40 gives the depth-3
+    # fit at once (depth 13 took 57 s)
+    ('morse fit-alpha --which 5adic --n-max 100 --depth 40', 0, '', 'af5fe02d0b1d924e'),
+    # a stray suffix, a depth below 1 and a 3adic fit are refused; the first
+    # three exited 0, and fit-alpha printed the whole 3adic report
+    ('morse report --which 5adic:junk --n-max 100', 3, "error: unknown conjecture '5adic:junk'; expected 2adic, 2adic-general:k, 5adic or 3adic\n", 'e3b0c44298fc1c14'),
+    ('morse report --which 3adic:9 --n-max 100', 3, "error: unknown conjecture '3adic:9'; expected 2adic, 2adic-general:k, 5adic or 3adic\n", 'e3b0c44298fc1c14'),
+    ('morse report --which 3adic --n-max 100 --depth 0', 3, 'error: depth must be at least 1\n', 'e3b0c44298fc1c14'),
+    ('morse fit-alpha --which 3adic --n-max 100', 3, 'error: fit-alpha takes 2adic, 2adic-general:k or 5adic; for 3adic run `morse report`\n', 'e3b0c44298fc1c14'),
 ]
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcatalan import kernel, series
+from wcatalan import kernel, morse, series
 from wcatalan.arith import digit_sum, series_divide_exact, valuation
 from wcatalan.catalan import catalan_number, catalan_series, weighted_catalan_series
 from wcatalan.errors import DomainError
@@ -323,6 +323,52 @@ class TestPadicFit:
         got = [(c.n, c.expected, c.observed) for c in _fit_violations(data, p, r, level)]
         assert got == expected
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_levels_stop_above_the_deepest_datum(self, monkeypatch, p):
+        # above level max t + 1 every lift survives: the levels stop there,
+        # and a depth of 40 costs what the depth max t + 1 does
+        data = [(n, valuation(p, n - 7)) for n in range(8, 300)]
+        top = max(t for _, t in data) + 1
+        counted = []
+
+        def counting(*args):
+            counted.append(args)
+            return _fit_violations(*args)
+
+        monkeypatch.setattr(morse, "_fit_violations", counting)
+        first = None
+        for depth in (top, top + 2, 40):  # top + 2 fails fast on an unbounded loop
+            counted.clear()
+            fit = fit_padic_alpha(data, p, depth)
+            first = first or (fit, len(counted))
+            assert (fit, len(counted)) == first, depth
+
+    @given(
+        p=st.sampled_from([2, 3, 5, 7]),
+        depth=st.integers(1, 5),
+        data=st.lists(st.tuples(st.integers(-60, 60), st.integers(0, 3)), min_size=1, max_size=12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_unbounded_level_loop(self, p, depth, data):
+        # every level up to depth, each candidate's violations recomputed
+        current, unique = [0], (0, 0)
+        want = None
+        for level in range(1, depth + 1):
+            candidates = [r + d * p ** (level - 1) for r in current for d in range(p)]
+            survivors = [r for r in candidates if not _fit_violations(data, p, r, level)]
+            if not survivors:
+                best = min(candidates, key=lambda r: len(_fit_violations(data, p, r, level)))
+                conflicts = tuple(_fit_violations(data, p, best, level)[:16])
+                want = (unique, False, conflicts)
+                break
+            current = survivors
+            if len(survivors) == 1:
+                unique = (level, survivors[0])
+        if want is None:
+            want = (unique, True, ())
+        fit = fit_padic_alpha(data, p, depth)
+        assert ((fit.certified_depth, fit.residue), fit.consistency, fit.conflicts) == want
+
     def test_input_validation(self):
         with pytest.raises(DomainError):
             fit_padic_alpha([], 2, 3)
@@ -391,3 +437,30 @@ class TestConjectureReports:
     def test_unknown_conjecture(self):
         with pytest.raises(DomainError):
             conjecture_report("6adic", 100)
+
+    @pytest.mark.parametrize("which", ["2adic:3", "5adic:junk", "5adic:", "3adic:9"])
+    def test_stray_suffix_is_refused(self, which):
+        with pytest.raises(DomainError, match=f"unknown conjecture '{which}'"):
+            conjecture_report(which, 100)
+
+    @pytest.mark.parametrize("which", [
+        "2adic", "2adic-general", "2adic-general:3", "5adic", "3adic",
+    ])
+    @pytest.mark.parametrize("depth", [0, -2])
+    def test_depth_is_refused_before_any_valuation(self, monkeypatch, which, depth):
+        def refuse(*args):
+            raise AssertionError("valuations computed for a refused depth")
+
+        monkeypatch.setattr(morse, "_certified_valuations", refuse)
+        with pytest.raises(DomainError, match="depth must be at least 1"):
+            conjecture_report(which, 4096, depth)
+        # the window is checked first, and the power before the depth
+        with pytest.raises(DomainError, match="window too small"):
+            conjecture_report(which, 7, depth)
+        with pytest.raises(DomainError, match="power must be at least 1"):
+            conjecture_report("2adic-general:0", 100, depth)
+
+    def test_5adic_fit_is_the_same_past_the_deepest_datum(self):
+        deep = conjecture_report("5adic", 100, 40)
+        assert deep == conjecture_report("5adic", 100, 3)
+        assert (deep["fit"]["certified_depth"], deep["fit"]["residue"]) == (3, 35)

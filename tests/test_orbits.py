@@ -765,12 +765,12 @@ class TestCarryOracles:
         assert (code, captured.out, captured.err) == (exit_code, "", f"error: {caught.value}\n")
 
     def test_results(self):
-        # under "all" the coin oracle keeps to its order cap even on the
-        # empty shape, whose carries "coin" computes at any order
+        # the empty shape's carries are a constant: no coin cap applies to
+        # it, under "all" as under "coin"
         assert orbits.carry_oracles("", 2, MORSE, 5, "all") == {
             "direct": [1, 0, 0, 0, 0, 0],
             "recursive": [1, 0, 0, 0, 0, 0],
-            "coin": None,
+            "coin": [1, 0, 0, 0, 0, 0],
             "agree": True,
         }
         assert orbits.carry_oracles("", 2, MORSE, 5, "coin") == {"coin": [1, 0, 0, 0, 0, 0]}
