@@ -40,6 +40,13 @@ path above it took an up-step off every level 0..k, so it weighs 0 (mod m).
 The cells of U above k are 0 (mod m), but those of V need not be, so on V
 the cap is what keeps the residue DP from doing work that vanishes, as on
 the p^K ladders of the valuation profiles.
+
+On those ladders the weights are far narrower than the modulus, and a `%`
+costs more than a cell's add and small multiply.  So the residue DP
+reduces only every r-th step, r = bits(m) // (bits(w) + 1) for the
+largest weight w in absolute value, each weight taken as its least
+absolute residue mod m, and its cells stay below m^2 in between; a narrow
+modulus or weights as wide as it get r = 1, a `%` every step.
 """
 
 from __future__ import annotations
@@ -177,14 +184,28 @@ def _dyck_dp(bvals, n_max: int, modulus: int | None, height: int) -> list[int]:
     weights (see the module docstring): an up-step weighs 1 and a down-step
     onto level k weighs bvals[k], and the 0 padded on top keeps the paths at
     or below the height.  Entry n of the output is V_2n(0) = U_2n(0), the
-    total weight of the paths back at height 0 after 2n steps.  The exact
-    and residue inner loops are kept apart: one shared loop made
+    total weight of the paths back at height 0 after 2n steps.
+
+    Mod m a step multiplies the cells' bound in absolute value by at most
+    w + 1, w the module docstring's, and (w + 1)^r <= 2^(bits(m) - r) <= m
+    when r (bits(w) + 1) <= bits(m), as for its r > 1: from reduced cells,
+    r steps stay below m^2.  The steps in between run the exact loop, and
+    the output is reduced at the end.  The reducing and the exact inner
+    loops are kept apart: one shared loop with a per-cell test made
     small-height period jobs 70% slower.
     """
     if modulus is None:
         b = list(bvals[:height]) + [0]
+        every = 2 * n_max + 1  # no step s = 1..2 n_max is a multiple: none reduces
     else:
         b = [v % modulus for v in bvals[:height]] + [0]
+        # a residue above m / 2 stands for a small negative weight, as -14 for
+        # b(1) of 7(4 - 9x + 3x^2); with r = 1 the residues stay nonnegative,
+        # since a `%` of a negative sum is slower
+        w = max(min(v, modulus - v) for v in b)
+        every = max(1, modulus.bit_length() // (w.bit_length() + 1))
+        if every > 1:
+            b = [v - modulus if 2 * v > modulus else v for v in b]
 
     out = [0] * (n_max + 1)
     out[0] = 1
@@ -194,19 +215,16 @@ def _dyck_dp(bvals, n_max: int, modulus: int | None, height: int) -> list[int]:
     for s in range(1, 2 * n_max + 1):
         hi = min(s, 2 * n_max - s, height)
         lo = s & 1
-        if modulus is None:
-            for j in range(lo, hi + 1, 2):
-                v = b[j] * prev[j + 1]
-                if j:
-                    v += prev[j - 1]
-                cur[j] = v
+        # cell 0 has no level below it, and after an even step it is out[s / 2]
+        if s % every:
+            if not lo:
+                out[s >> 1] = cur[0] = b[0] * prev[1]
+            for j in range(2 - lo, hi + 1, 2):
+                cur[j] = prev[j - 1] + b[j] * prev[j + 1]
         else:
-            for j in range(lo, hi + 1, 2):
-                v = b[j] * prev[j + 1]
-                if j:
-                    v += prev[j - 1]
-                cur[j] = v % modulus
+            if not lo:
+                out[s >> 1] = cur[0] = b[0] * prev[1] % modulus
+            for j in range(2 - lo, hi + 1, 2):
+                cur[j] = (prev[j - 1] + b[j] * prev[j + 1]) % modulus
         prev, cur = cur, prev
-        if lo == 0:
-            out[s >> 1] = prev[0]
-    return out
+    return out if modulus is None or every == 1 else [v % modulus for v in out]

@@ -307,22 +307,46 @@ def fit_padic_alpha(data, p: int, depth: int) -> PadicFit:
         raise DomainError("p must be at least 2")
 
     # Above level max t + 1 a datum's test reads r mod p^(max t + 1) only, so
-    # every lift of every survivor survives and none is unique again.
-    current = [0]
+    # every lift of every survivor survives and none is unique again.  Below,
+    # some datum has t >= level - 1, and every survivor r has r = n mod
+    # p^(level - 1) for it: the survivor r is unique, and `_level_digits`
+    # decides its next digit.
+    r = 0
     unique: tuple[int, int] = (0, 0)  # (level, residue)
+    live = data
     for level in range(1, min(depth, max(t for _, t in data) + 1) + 1):
+        live, digits = _level_digits(live, p, level)
         step = p ** (level - 1)
-        candidates = [r + d * step for r in current for d in range(p)]
-        conflicts = [_fit_violations(data, p, r, level) for r in candidates]
-        current = [r for r, bad in zip(candidates, conflicts) if not bad]
-        if not current:
+        if not digits:
             lvl, res = unique
-            fewest = min(conflicts, key=len)  # the least-violating candidate's
+            candidates = [r + d * step for d in range(p)]
+            # the least-violating candidate's conflicts, the first on a tie
+            fewest = min((_fit_violations(data, p, c, level) for c in candidates), key=len)
             return PadicFit(p, _digits_of(res, p, lvl), lvl, False, tuple(fewest[:16]))
-        if len(current) == 1:
-            unique = (level, current[0])
+        if len(digits) > 1:
+            break  # no datum has t >= level: this is the last level
+        r += digits[0] * step
+        unique = (level, r)
     lvl, res = unique
     return PadicFit(p, _digits_of(res, p, lvl), lvl, True, ())
+
+
+def _level_digits(data, p: int, level: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The data with t >= level - 1, and the digits they allow at place
+    level - 1 of the unique survivor r mod p^(level - 1).
+
+    A datum with t < level - 1 tests r mod p^(t + 1) only, which the
+    survivor already passed.  The rest have n = r mod p^(level - 1), so n's
+    own digit at place level - 1 decides: t >= level forces it, since
+    p^level divides n - alpha, and t = level - 1 forbids it.
+    """
+    step = p ** (level - 1)
+    live = [(n, t) for n, t in data if t >= level - 1]
+    forced = {n // step % p for n, t in live if t >= level}
+    barred = {n // step % p for n, t in live if t < level}
+    if len(forced) > 1:
+        return live, []
+    return live, sorted((forced or set(range(p))) - barred)
 
 
 def _digits_of(residue: int, p: int, depth: int) -> tuple[int, ...]:

@@ -429,16 +429,19 @@ MINIMAL_ORBIT_CAP = 135_135
 def _minimal_rows(depths: tuple) -> list[tuple]:
     """Complete trees of the given depths hung below a binary skeleton.
 
-    One row (key, parens, reduced parens) per tree.  One depth d gives the
-    complete tree of depth d (depth 0 is the empty tree, key None), which
-    reduces to a leaf if d >= 1.  Two or more sit below a skeleton vertex
-    whose two subtrees take every split of the depths into two nonempty
-    parts; the vertex's parens join its children's in key order, and its
-    reduced parens join their reduced ones in reduced-key order.  The
-    depths are distinct, so no skeleton vertex roots a complete subtree
-    (see `minimal_orbits`) and the reduction collapses exactly the hung
-    trees.  No key comes out twice: a key's hung trees are its maximal
-    complete subtrees, so it determines its split.
+    One row (key, parens, reduced parens, orbit size) per tree.  One depth
+    d gives the complete tree of depth d (depth 0 is the empty tree, key
+    None), of orbit size 1, which reduces to a leaf if d >= 1.  Two or more
+    sit below a skeleton vertex whose two subtrees take every split of the
+    depths into two nonempty parts; the vertex's parens join its children's
+    in key order, and its reduced parens join their reduced ones in
+    reduced-key order.  Its two children are distinct, so they fill the two
+    slots in 2 ways, as does an only child: the orbit size is 2 s_l s_r, or
+    2 s for an only child of size s.  The depths are distinct, so no
+    skeleton vertex roots a complete subtree (see `minimal_orbits`) and the
+    reduction collapses exactly the hung trees.  No key comes out twice: a
+    key's hung trees are its maximal complete subtrees, so it determines
+    its split.
 
     Keys are ordered by their parens strings, in reverse: where two
     strings first differ, the key whose string has ")" there has run out
@@ -449,7 +452,7 @@ def _minimal_rows(depths: tuple) -> list[tuple]:
         key, parens = None, ""
         for _ in range(depths[0]):
             key, parens = ((key, key) if key is not None else ()), f"({parens}{parens})"
-        return [(key, parens, "()" if depths[0] else "")]
+        return [(key, parens, "()" if depths[0] else "", 1)]
     head, rest = depths[0], depths[1:]
     rows = []
     emit = rows.append
@@ -458,19 +461,20 @@ def _minimal_rows(depths: tuple) -> list[tuple]:
         right = _minimal_subtrees(tuple(d for i, d in enumerate(rest) if not mask >> i & 1))
         if left == (0,):
             # the empty tree fills one slot: the right subtree is an only child
-            for key, parens, reduced in right:
-                emit(((key,), f"({parens})", f"({reduced})"))
+            for key, parens, reduced, size in right:
+                emit(((key,), f"({parens})", f"({reduced})", 2 * size))
             continue
-        for lkey, lparens, lreduced in _minimal_subtrees(left):
-            for key, parens, reduced in right:
+        for lkey, lparens, lreduced, lsize in _minimal_subtrees(left):
+            for key, parens, reduced, size in right:
                 if lparens > parens:
                     kids, text = (lkey, key), f"({lparens}{parens})"
                 else:
                     kids, text = (key, lkey), f"({parens}{lparens})"
                 if lreduced >= reduced:
-                    emit((kids, text, f"({lreduced}{reduced})"))
+                    rtext = f"({lreduced}{reduced})"
                 else:
-                    emit((kids, text, f"({reduced}{lreduced})"))
+                    rtext = f"({reduced}{lreduced})"
+                emit((kids, text, rtext, 2 * lsize * size))
     return rows
 
 
@@ -512,10 +516,10 @@ def minimal_orbits(n: int, q: int = 2) -> OrbitTable:
         )
     rows = _minimal_rows(depths)
     rows.sort(key=itemgetter(1), reverse=True)  # key order; see `_minimal_rows`
-    keys, parens, reduced = zip(*rows)
-    assert all(_node_size(key, 2) == 1 << s for key in keys)
+    keys, parens, reduced, sizes = zip(*rows)
+    assert all(size == 1 << s for size in sizes)
     removed = sum((1 << d) - 2 for d in depths if d)
-    return OrbitTable(q, keys, parens, (1 << s,) * len(keys), reduced, (removed,) * len(keys))
+    return OrbitTable(q, keys, parens, sizes, reduced, (removed,) * len(keys))
 
 
 def average_weight(

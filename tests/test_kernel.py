@@ -111,6 +111,45 @@ def test_unit_weight_gives_catalan_numbers():
         assert kernel.dyck_value_exact([1] * n, k) == catalan[k]
 
 
+# Moduli of every width from 1 to 1000 bits, and the p^K rungs of a
+# certification ladder (K doubling) up to about 2^1000.
+DP_MODULI = st.one_of(
+    st.integers(1, 1000).flatmap(lambda k: st.integers(max(2, 2 ** (k - 1)), 2**k)),
+    st.sampled_from([2, 3, 5, 7]).flatmap(
+        lambda p: st.integers(0, (1000 // p.bit_length()).bit_length() - 1).map(
+            lambda i: p ** 2**i
+        )
+    ),
+)
+
+
+@st.composite
+def dp_cases(draw):
+    """Weights of 3 to 1100 bits, of either sign or nonnegative, so that the
+    residue DP reduces every step (weights as wide as the modulus, or a
+    narrow modulus) or every r >> 1 steps (narrow weights, a wide modulus),
+    with zero weights and zero residues planted, and caps."""
+    m = draw(DP_MODULI)
+    bits = draw(st.sampled_from([3, 20, 64, 1100]))
+    n = draw(st.integers(0, 150 if bits < 64 else 40))
+    low = draw(st.sampled_from([0, -(2**bits)]))
+    bvals = draw(st.lists(st.integers(low, 2**bits), min_size=n + 1, max_size=n + 1))
+    for z in draw(st.lists(st.integers(0, n), max_size=2)):
+        bvals[z] = draw(st.sampled_from([0, m, -3 * m]))
+    return bvals, n, m, draw(st.one_of(st.none(), st.integers(0, n + 1)))
+
+
+@given(dp_cases())
+@settings(max_examples=80, deadline=None)
+def test_residue_dp_reduces_the_exact_values(case):
+    bvals, n, m, cap = case
+    want = [v % m for v in kernel.dyck_dp_exact(bvals, n, cap)]
+    h = kernel._check_args(bvals, n, m, cap)
+    assert kernel._dyck_dp(bvals, n, m, h) == want
+    if not kernel.series_wins(n, m, h):
+        assert kernel.dyck_dp_mod(bvals, n, m, cap) == want
+
+
 @st.composite
 def vanishing_cases(draw, tree_side):
     """Arguments where m divides b(0)...b(z): b(z) is a zero residue, or

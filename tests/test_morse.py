@@ -272,6 +272,23 @@ class TestCertificationLadder:
             _certified_valuations(WeightFunction.from_table([0, 1, 2]), "cb", 2, 400)
 
 
+@st.composite
+def fit_cases(draw):
+    """Random data, which mostly fail at level 1, or data that fit some
+    alpha until a planted datum (n, t + 1) contradicts the deepest
+    (n, t), so that the fit fails at level t + 1 when the depth reaches it."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    depth = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        pairs = st.tuples(st.integers(-60, 60), st.integers(0, 3))
+        return p, depth, draw(st.lists(pairs, min_size=1, max_size=12))
+    alpha = draw(st.integers(-60, 60))
+    ns = draw(st.lists(st.integers(-60, 60).filter(lambda n: n != alpha), min_size=1, max_size=12))
+    data = [(n, valuation(p, n - alpha)) for n in ns]
+    n, t = max(data, key=lambda d: d[1])
+    return p, depth, data + [(n, t + 1)]
+
+
 class TestPadicFit:
     def test_synthetic_round_trip(self):
         alpha, p = 7, 3
@@ -329,28 +346,25 @@ class TestPadicFit:
         # and a depth of 40 costs what the depth max t + 1 does
         data = [(n, valuation(p, n - 7)) for n in range(8, 300)]
         top = max(t for _, t in data) + 1
-        counted = []
+        levels, real = [], morse._level_digits
 
-        def counting(*args):
-            counted.append(args)
-            return _fit_violations(*args)
+        def counting(data, p, level):
+            levels.append(level)
+            return real(data, p, level)
 
-        monkeypatch.setattr(morse, "_fit_violations", counting)
+        monkeypatch.setattr(morse, "_level_digits", counting)
         first = None
         for depth in (top, top + 2, 40):  # top + 2 fails fast on an unbounded loop
-            counted.clear()
+            levels.clear()
             fit = fit_padic_alpha(data, p, depth)
-            first = first or (fit, len(counted))
-            assert (fit, len(counted)) == first, depth
+            first = first or fit
+            assert (fit, levels) == (first, list(range(1, top + 1))), depth
 
-    @given(
-        p=st.sampled_from([2, 3, 5, 7]),
-        depth=st.integers(1, 5),
-        data=st.lists(st.tuples(st.integers(-60, 60), st.integers(0, 3)), min_size=1, max_size=12),
-    )
+    @given(case=fit_cases())
     @settings(max_examples=150, deadline=None)
-    def test_agrees_with_the_unbounded_level_loop(self, p, depth, data):
+    def test_agrees_with_the_unbounded_level_loop(self, case):
         # every level up to depth, each candidate's violations recomputed
+        p, depth, data = case
         current, unique = [0], (0, 0)
         want = None
         for level in range(1, depth + 1):

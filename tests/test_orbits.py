@@ -343,11 +343,21 @@ class TestMinimalOrbits:
     def test_double_factorial_counts(self):
         from wcatalan.arith import digit_sum
 
-        # n = 126 is s = 6: 10,395 orbits, each through the orbit-size assert
+        # n = 126 is s = 6: 10,395 orbits, each through the size check
         for n in [*range(1, 65), 126]:
             s = digit_sum(2, n + 1) - 1
             expected = math.factorial(2 * s) // (2**s * math.factorial(s)) if s else 1
             assert len(minimal_orbits(n)) == expected, n
+
+    def test_sizes_from_the_construction_match_orbit_size(self):
+        # each row carries the orbit size its construction gives; `_node_size`
+        # recomputes it from the key, as `orbit_size` does
+        for n in range(1, 65):
+            depths = tuple(i for i in range((n + 1).bit_length()) if (n + 1) >> i & 1)
+            for key, _, _, size in orbits._minimal_rows(depths):
+                assert size == orbits._node_size(key, 2) == 2 ** (len(depths) - 1), (n, key)
+            table = minimal_orbits(n)
+            assert list(table.sizes) == [orbit_size(shape) for shape in table], n
 
     def test_agrees_with_enumeration_filter(self):
         from wcatalan.arith import digit_sum
