@@ -33,26 +33,26 @@ __all__ = [
 def weighted_catalan_series(
     b: WeightFunction,
     n_max: int,
-    shift: int = 0,
+    *,
     height_cap: int | None = None,
     modulus: int | None = None,
 ) -> list[int]:
     """Values for all semilengths 0..n_max: exact, or reduced mod `modulus`.
 
-    Level-k up-steps are weighted b(shift + k); heights at or above n_max
+    Level-k up-steps are weighted b(k); heights at or above n_max
     are never touched, so a table weight of n_max values suffices.  With a
     height cap, only paths staying at or below the cap are counted.
     """
     need = n_max if height_cap is None else min(height_cap, n_max)
-    bvals = b.values(shift, need)
+    bvals = b.values(0, need)
     if modulus is None:
         return kernel.dyck_dp_exact(bvals, n_max, height_cap)
     return kernel.dyck_dp_mod(bvals, n_max, modulus, height_cap)
 
 
-def weighted_catalan(b: WeightFunction, n: int, shift: int = 0, modulus: int | None = None) -> int:
+def weighted_catalan(b: WeightFunction, n: int, *, modulus: int | None = None) -> int:
     """Weighted Catalan number of semilength n: exact, or reduced mod `modulus`."""
-    bvals = b.values(shift, n)
+    bvals = b.values(0, n)
     if modulus is None:
         return kernel.dyck_value_exact(bvals, n)
     # The kernel finds this cap itself; passing it makes the call's arguments

@@ -3,7 +3,8 @@
 Every subcommand prints {"command", "parameters", "result", "elapsed_ms"};
 the payload is deterministic for fixed inputs (only elapsed_ms varies).
 Exit codes: 0 success, 1 oracle disagreement, 2 parse error, 3 domain
-error, 4 resource cap.
+error, 4 resource cap, 141 stdout closed by its reader (128 + SIGPIPE, as
+a shell reports a tool killed by that signal).
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
 from itertools import chain, repeat
-from operator import itemgetter
 
 from . import catalan, morse, orbits, periodicity
 from .errors import DomainError, ResourceLimitError, WeightSpecError
@@ -29,6 +30,7 @@ EXIT_DISAGREE = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_RESOURCE = 4
+EXIT_PIPE = 141
 
 
 class _UsageError(ValueError):
@@ -125,33 +127,20 @@ def _write_rows(table: _Table, write, indent: str) -> None:
 def _write_json(obj, write, indent: str = "") -> None:
     """Write `obj` through `write` as the bytes of json.dump(obj, out, indent=2).
 
-    A `_Table` is written as its list of rows, column by column.  Flat runs
-    go through the C encoder: a non-empty list of scalars in one call and
-    re-indented, and a non-empty list of non-empty dicts with scalar values
-    and the same str keys in the same order (the rows of valuation and
-    check) as a `_Table`.  Everything else is walked here one level at a
-    time, so the document is never held as one string.
+    A `_Table` (the rows of orbits, valuation and morse profile) is written
+    as its list of rows, column by column.  A non-empty list of scalars goes
+    through the C encoder in one call and is re-indented.  Everything else,
+    the short lists of dicts in check and morse report among it, is walked
+    here one level at a time, so the document is never held as one string.
     """
     inner = indent + "  "
     if isinstance(obj, _Table):
         _write_rows(obj, write, indent)
     elif isinstance(obj, (list, tuple)) and obj:
-        kinds = set(map(type, obj))
-        if kinds <= _SCALARS:
+        if set(map(type, obj)) <= _SCALARS:
             text = _ENCODER.encode(obj)[1:-1].replace("\n", "\n" + inner)
             write("[\n" + inner + text + "\n" + indent + "]")
             return
-        if kinds == {dict} and all(obj):
-            # equal keys of other types may be spelled apart (1, 1.0, True)
-            names = tuple(obj[0])
-            if (
-                all(type(name) is str for name in names)
-                and all(tuple(item) == names for item in obj)
-                and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _SCALARS
-            ):
-                columns = {name: list(map(itemgetter(name), obj)) for name in names}
-                _write_rows(_Table(len(obj), columns), write, indent)
-                return
         sep = "[\n" + inner
         for item in obj:
             write(sep)
@@ -195,21 +184,33 @@ def _cmd_compute(args, started) -> int:
     return EXIT_OK
 
 
+def _emit_profile(command: str, params: dict, profile, fmt: str, started: float) -> int:
+    """A valuation profile as CSV, or as an envelope whose rows are a `_Table`.
+
+    In residue mode `value_bits` is one scalar None, encoded once.
+    """
+    if fmt == "csv":
+        sys.stdout.write(profile.to_csv())
+        return EXIT_OK
+    columns = {"n": list(profile.n_range), "valuation": profile.valuations,
+               "value_bits": profile.value_bits}
+    result = {"expression": profile.expression, "p": profile.p, "weight": profile.weight_id,
+              "mode": profile.mode, "rows": _Table(len(profile.n_range), columns)}
+    _emit(command, params, result, started)
+    return EXIT_OK
+
+
 def _cmd_valuation(args, started) -> int:
     b = parse_weight_spec(args.weight)
     rng = _parse_range(args.range)
     profile = morse.valuation_profile(args.expr, args.p, rng, weight=b)
-    if args.format == "csv":
-        sys.stdout.write(profile.to_csv())
-        return EXIT_OK
     params = {
         "weight": args.weight,
         "p": args.p,
         "expr": args.expr,
         "range": args.range,
     }
-    _emit("valuation", params, profile.to_json_dict(), started)
-    return EXIT_OK
+    return _emit_profile("valuation", params, profile, args.format, started)
 
 
 def _cmd_check(args, started) -> int:
@@ -252,6 +253,7 @@ def _cmd_epsilon(args, started) -> int:
         "weight": args.weight,
         "shape": args.shape,
         "m": args.m,
+        "q": args.q,
         "method": args.method,
     }
     _emit("epsilon", params, result, started)
@@ -298,12 +300,8 @@ def _cmd_morse(args, started) -> int:
     if args.morse_cmd == "profile":
         rng = _parse_range(args.range)
         profile = morse.valuation_profile(args.expr, args.p, rng)
-        if args.format == "csv":
-            sys.stdout.write(profile.to_csv())
-            return EXIT_OK
         params = {"expr": args.expr, "p": args.p, "range": args.range}
-        _emit("morse profile", params, profile.to_json_dict(), started)
-        return EXIT_OK
+        return _emit_profile("morse profile", params, profile, args.format, started)
     # report, or fit-alpha: the report's fit
     fit_only = args.morse_cmd == "fit-alpha"
     if fit_only and args.which == "3adic":
@@ -426,7 +424,9 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args, started)
+        code = args.func(args, started)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except WeightSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"weight grammar: {WEIGHT_SPEC_GRAMMAR}", file=sys.stderr)
@@ -440,6 +440,13 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so that the interpreter's flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     finally:
         if collecting:
             gc.enable()

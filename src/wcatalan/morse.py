@@ -1,10 +1,11 @@
 """Morse link numbers L_n: the weighted Catalan numbers for b(x) = (2x+1)^2.
 
 Provides exact values, p-adic valuation profiles of L_n, L_n - C_n and
-L_n - 1, period verification modulo 7, 11 and powers of 3, and digit-by-
-digit fitting of the p-adic shift alpha appearing in the conjectured
-valuation formulas.  All conjecture reports are evidence generators: they
-state consistency over a window, never truth.
+L_n - 1 (held as columns, row i belonging to n_range[i]), period
+verification modulo 7, 11 and powers of 3, and digit-by-digit fitting of
+the p-adic shift alpha appearing in the conjectured valuation formulas.
+All conjecture reports are evidence generators: they state consistency
+over a window, never truth.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "morse_weight",
     "morse_number",
     "ValuationProfile",
-    "ProfileRow",
     "valuation_profile",
     "PadicFit",
     "PadicConflict",
@@ -147,45 +147,32 @@ def _certified_valuations(
 
 
 @dataclass(frozen=True)
-class ProfileRow:
-    n: int
-    valuation: int | None  # None = expression is exactly zero ("infinite")
-    value_bits: int | None  # bit length of the exact value, when computed
-
-
-@dataclass(frozen=True)
 class ValuationProfile:
-    """Per-index p-adic valuations of one expression over a range of n."""
+    """Per-index p-adic valuations of one expression over a range of n.
+
+    The rows are held as columns: `valuations[i]` and `value_bits[i]`
+    belong to n = `n_range[i]`.  A valuation of None marks an exact zero
+    ("infinite"); `value_bits`, the bit lengths of the exact values, is
+    None in residue mode, where no value is computed.
+    """
 
     expression: str
     p: int
     weight_id: str
     mode: str  # "exact" | "residue"
-    rows: tuple[ProfileRow, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "expression": self.expression,
-            "p": self.p,
-            "weight": self.weight_id,
-            "mode": self.mode,
-            "rows": [
-                {"n": r.n, "valuation": r.valuation, "value_bits": r.value_bits}
-                for r in self.rows
-            ],
-        }
+    n_range: range
+    valuations: list[int | None]
+    value_bits: list[int] | None
 
     def to_csv(self) -> str:
-        with_bits = self.mode == "exact"
-        header = "n,value_bits,valuation" if with_bits else "n,valuation"
-        lines = [header]
-        for r in self.rows:
-            val = "inf" if r.valuation is None else str(r.valuation)
-            if with_bits:
-                lines.append(f"{r.n},{r.value_bits},{val}")
-            else:
-                lines.append(f"{r.n},{val}")
-        return "\n".join(lines) + "\n"
+        vals = ["inf" if v is None else str(v) for v in self.valuations]
+        if self.value_bits is None:
+            lines = map("{},{}".format, self.n_range, vals)
+            header = "n,valuation"
+        else:
+            lines = map("{},{},{}".format, self.n_range, self.value_bits, vals)
+            header = "n,value_bits,valuation"
+        return header + "\n" + "\n".join(lines) + "\n"
 
 
 def valuation_profile(
@@ -207,22 +194,13 @@ def valuation_profile(
     if n_range.start < 0 or n_range.step != 1:
         raise DomainError("range must be a nonnegative unit-step range")
     n_max = n_range.stop - 1
-    if n_max <= _EXACT_PROFILE_MAX:
-        values = _expression_values(weight, expr, n_max)
-        rows = tuple(
-            ProfileRow(
-                n,
-                None if values[n] == 0 else valuation(p, values[n]),
-                values[n].bit_length(),
-            )
-            for n in n_range
-        )
-        mode = "exact"
-    else:
-        vals = _certified_valuations(weight, expr, p, n_max)
-        rows = tuple(ProfileRow(n, vals[n], None) for n in n_range)
-        mode = "residue"
-    return ValuationProfile(expr, p, weight.describe(), mode, rows)
+    if n_max > _EXACT_PROFILE_MAX:
+        vals = _certified_valuations(weight, expr, p, n_max)[n_range.start :]
+        return ValuationProfile(expr, p, weight.describe(), "residue", n_range, vals, None)
+    values = _expression_values(weight, expr, n_max)[n_range.start :]
+    vals = [valuation(p, v) if v else None for v in values]
+    bits = [v.bit_length() for v in values]
+    return ValuationProfile(expr, p, weight.describe(), "exact", n_range, vals, bits)
 
 
 @dataclass(frozen=True)

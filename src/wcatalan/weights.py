@@ -319,13 +319,12 @@ class _FamilyClause:
 _WITNESS_CAP = 8
 
 
-def _parse_theorem(theorem: str, q: int | None) -> tuple[str, int]:
+def _parse_theorem(theorem: str) -> tuple[str, int]:
     name, sep, arg = theorem.lower().partition(":")
-    if sep:
-        try:
-            q = int(arg)
-        except ValueError:
-            raise DomainError(f"bad theorem argument in '{theorem}'") from None
+    try:
+        q = int(arg) if sep else None
+    except ValueError:
+        raise DomainError(f"bad theorem argument in '{theorem}'") from None
     if name not in THEOREM_IDS:
         raise DomainError(
             f"unknown theorem '{theorem}'; expected one of {', '.join(THEOREM_IDS)}"
@@ -408,17 +407,16 @@ def check_conditions(
     b: WeightFunction,
     theorem: str,
     *,
-    q: int | None = None,
     window: range | None = None,
 ) -> ConditionReport:
     """Test a theorem's divisibility hypotheses against a weight.
 
-    theorem is one of "ps", "main", "conj", or "qmain" / "qmain:Q".  Both
+    theorem is one of "ps", "main", "conj", or "qmain:Q".  Both
     kinds are checked pointwise on a table of values.  For a polynomial of
     degree d, b(0..d+1) fix every difference, so the verdict is exact for
     all x; table weights are checked on the window only.
     """
-    name, q = _parse_theorem(theorem, q)
+    name, q = _parse_theorem(theorem)
     label = name if name != "qmain" else f"qmain:{q}"
     points, families = _theorem_clauses(name, q, b)
 

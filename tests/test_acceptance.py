@@ -143,7 +143,7 @@ def test_criterion_7_continued_fraction_correctness():
 
 def test_criterion_8_ternary_congruence():
     b = WeightFunction.polynomial([1, 9])
-    assert check_conditions(b, "qmain", q=3).holds
+    assert check_conditions(b, "qmain:3").holds
     for n in range(26):
         lhs = q_weighted_catalan(b, 3, n)
         rhs = q_catalan(3, n)

@@ -21,7 +21,7 @@ MORSE = WeightFunction.preset("morse")
 ONES = WeightFunction.preset("ones")
 
 
-def brute_weighted_catalan(b, n, shift=0, height_cap=None):
+def brute_weighted_catalan(b, n, height_cap=None):
     """Independent oracle: explicit enumeration of all step sequences."""
     total = 0
 
@@ -34,7 +34,7 @@ def brute_weighted_catalan(b, n, shift=0, height_cap=None):
                 total += weight
             return
         if height < steps_left:  # room to go up and still return
-            walk(steps_left - 1, height + 1, weight * b(shift + height), top)
+            walk(steps_left - 1, height + 1, weight * b(height), top)
         if height > 0:
             walk(steps_left - 1, height - 1, weight, top)
 
@@ -108,13 +108,6 @@ class TestWeightedCatalan:
         for b in (ONES, MORSE, WeightFunction.preset("matchings"), table):
             for n in range(8):
                 assert weighted_catalan(b, n) == brute_weighted_catalan(b, n)
-
-    def test_shift(self):
-        for shift in (1, 3):
-            for n in range(6):
-                assert weighted_catalan(MORSE, n, shift) == brute_weighted_catalan(
-                    MORSE, n, shift
-                )
 
     def test_matchings_double_factorial(self):
         b = WeightFunction.preset("matchings")

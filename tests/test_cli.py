@@ -365,6 +365,41 @@ class TestValuation:
         rows = {r["n"]: r["valuation"] for r in env["result"]["rows"]}
         assert rows[4] == 2
 
+    @pytest.mark.parametrize(
+        "argv, mode",
+        [
+            (["valuation", "--weight", "preset:morse", "--p", "2", "--expr", "cb-c",
+              "--range", "0..12"], "exact"),
+            (["valuation", "--weight", "poly:3,2,1", "--p", "3", "--range", "37..721"],
+             "residue"),
+            (["morse", "profile", "--expr", "cb", "--p", "5", "--range", "3..40"], "exact"),
+            (["morse", "profile", "--expr", "cb", "--p", "5", "--range", "3..330"], "residue"),
+        ],
+    )
+    def test_rows_reach_the_writer_as_one_table(self, capsys, monkeypatch, argv, mode):
+        # as orbit rows do (TestOrbits): the profile's columns go to the
+        # writer, with no dict per row on the way
+        tables, write_json, write_rows = [], cli._write_json, cli._write_rows
+
+        def checked_json(obj, *args):
+            assert not (isinstance(obj, list) and any(isinstance(x, dict) for x in obj))
+            write_json(obj, *args)
+
+        def recorded_rows(table, *args):
+            tables.append(table)
+            write_rows(table, *args)
+
+        monkeypatch.setattr(cli, "_write_json", checked_json)
+        monkeypatch.setattr(cli, "_write_rows", recorded_rows)
+        lo, hi = map(int, argv[-1].split(".."))
+        env = run_json(capsys, *argv)
+        assert env["result"]["mode"] == mode
+        assert [r["n"] for r in env["result"]["rows"]] == list(range(lo, hi + 1))
+        [table] = tables
+        assert table.count == hi + 1 - lo
+        assert list(table.columns) == ["n", "valuation", "value_bits"]
+        assert (table.columns["value_bits"] is None) == (mode == "residue")
+
 
 class TestMorseSubcommands:
     def test_pow3(self, capsys):
@@ -491,15 +526,34 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
 
-def run_module(*argv, timeout):
-    """`python -m wcatalan argv` in a child process, killed after `timeout` s."""
+def module_env() -> dict:
+    """The environment in which `python -m wcatalan` imports this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     paths = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+def run_module(*argv, timeout):
+    """`python -m wcatalan argv` in a child process, killed after `timeout` s."""
     return subprocess.run(
         [sys.executable, "-m", "wcatalan", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        capture_output=True, text=True, env=module_env(), timeout=timeout,
     )
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_141_without_a_traceback(self):
+        # the write into a closed pipe raised BrokenPipeError, so the run
+        # ended in a traceback and exit 1, the oracle-disagreement code
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wcatalan", "orbits", "--n", "14"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+        )
+        assert proc.stdout.read(10) == b'{\n  "comma'
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
 
 class TestLargePrimes:

@@ -98,6 +98,11 @@ CASES = [
     ('valuation --weight poly:0 --p 2 --range 1..400', 0, '', '019edb7439c9a352'),
     ('valuation --weight poly:0,1 --p 3 --expr cb-c --range 1..500', 0, '', 'e9aa4d5cc3f53bc5'),
     ('valuation --weight poly:0,1 --p 2 --expr cb-1 --range 1..400 --format csv', 0, '', '831154ec5754dff5'),
+    # a residue window that starts past 0, residue CSV with `inf` rows, and
+    # an exact window whose first rows are exact zeros
+    ('valuation --weight poly:3,2,1 --p 3 --range 37..721', 0, '', '8c66cf7db141b469'),
+    ('valuation --weight preset:morse --p 3 --expr cb-1 --range 0..330 --format csv', 0, '', '8984d1d84401bacc'),
+    ('valuation --weight preset:morse --p 2 --expr cb-c --range 0..12', 0, '', 'e9740c4d27e8d30a'),
     ('check --weight preset:morse --theorem main', 0, '', 'cbcf5c4a06520c43'),
     ('check --weight table:1,3,5,7,9,11 --theorem ps --window 0..5', 0, '', 'c6dd8693b6f4e21a'),
     ('check --weight poly:1,1 --theorem main', 0, '', '417f1350ba5d65ff'),
@@ -131,13 +136,13 @@ CASES = [
     ('orbits --q 0 --n 3', 3, 'error: branching must be at least 2, got 0\n', 'e3b0c44298fc1c14'),
     ('orbits --q -1 --n 2', 3, 'error: branching must be at least 2, got -1\n', 'e3b0c44298fc1c14'),
     ('epsilon --q 0 --weight preset:morse --shape (()) --m 2', 3, 'error: branching must be at least 2, got 0\n', 'e3b0c44298fc1c14'),
-    ('epsilon --weight preset:morse --shape (()()) --m 4', 0, '', '0f86db94f617c6ae'),
+    ('epsilon --weight preset:morse --shape (()()) --m 4', 0, '', 'f902453f1b318abb'),
     ('epsilon --weight preset:morse --m 1 --shape ' + '(' * 33 + ')' * 33, 4, 'error: carry oracles capped at shape depth 32 (requested 33)\n', 'e3b0c44298fc1c14'),
     # the depth cap depends on q: 17 at q = 3 and 11 at q = 4; the two
     # refused shapes ran with exit 0 while the cap was 32 for every q
     ('epsilon --q 3 --weight poly:1,0,9 --m 3 --shape ' + '(' * 18 + ')' * 18, 4, 'error: carry oracles capped at shape depth 17 (requested 18)\n', 'e3b0c44298fc1c14'),
     ('epsilon --q 4 --weight poly:1,0,16 --m 3 --shape ' + '(' * 12 + ')' * 12, 4, 'error: carry oracles capped at shape depth 11 (requested 12)\n', 'e3b0c44298fc1c14'),
-    ('epsilon --q 4 --weight poly:1,0,16 --m 3 --shape ' + '(' * 11 + ')' * 11, 0, '', '9899d42a45798c0f'),
+    ('epsilon --q 4 --weight poly:1,0,16 --m 3 --shape ' + '(' * 11 + ')' * 11, 0, '', 'f9b120ebaedb2ce3'),
     ('epsilon --weight preset:morse --shape (()) --m 33', 4, 'error: carry oracles capped at order 32 (requested 33)\n', 'e3b0c44298fc1c14'),
     # the order cap depends on q; this exited 0 while it was 32 for every q
     ('epsilon --q 3 --weight poly:1,0,9 --shape (()) --m 18', 4, 'error: carry oracles capped at order 17 (requested 18)\n', 'e3b0c44298fc1c14'),
@@ -145,13 +150,13 @@ CASES = [
     ('epsilon --weight preset:morse --shape (()) --m -1 --method coin', 3, 'error: max order must be nonnegative\n', 'e3b0c44298fc1c14'),
     # the empty shape past the coin order cap: `all` runs the coin oracle on
     # it as `coin` does (it printed "coin": null under `all`)
-    ('epsilon --weight preset:morse --shape "" --m 5 --method all', 0, '', '3afaea584a33bcca'),
-    ('epsilon --weight preset:morse --shape "" --m 5 --method coin', 0, '', '03adcf721ba69344'),
+    ('epsilon --weight preset:morse --shape "" --m 5 --method all', 0, '', 'f1c502733d9dae2d'),
+    ('epsilon --weight preset:morse --shape "" --m 5 --method coin', 0, '', 'ff70e06403021522'),
     # where `all` leaves the coin oracle out ("coin": null): a ternary shape,
     # which `coin` refuses; a 7-vertex path, past the coin vertex cap
-    ('epsilon --q 3 --weight poly:1,0,9 --shape (()) --m 3 --method all', 0, '', 'bd67cdcc956d291c'),
+    ('epsilon --q 3 --weight poly:1,0,9 --shape (()) --m 3 --method all', 0, '', 'b7cd48eed0c150be'),
     ('epsilon --q 3 --weight poly:1,0,9 --shape (()) --m 3 --method coin', 3, 'error: the coin-configuration oracle is defined for binary orbits only\n', 'e3b0c44298fc1c14'),
-    ('epsilon --weight preset:morse --shape ((((((())))))) --m 3 --method all', 0, '', 'cda6370dc089d9f3'),
+    ('epsilon --weight preset:morse --shape ((((((())))))) --m 3 --method all', 0, '', '4c1d50958628c072'),
     ('period --weight preset:morse --mod 7 --max-terms 500', 0, '', 'd9c1e11fbce8a52d'),
     ('period --weight preset:morse --mod 11 --max-terms 40', 0, '', 'd48478ba111cbc84'),
     ('period --weight preset:ones --mod 5 --max-terms 300', 0, '', '27858d039a0c96a2'),
@@ -174,6 +179,7 @@ CASES = [
     # a usage error, not a weight spec error: no weight grammar under it
     ('morse period', 2, 'error: morse period needs --mod M or --pow3 R\n', 'e3b0c44298fc1c14'),
     ('morse profile --expr cb-1 --p 2 --range 1..60 --format csv', 0, '', '77f13c616b5e4cf1'),
+    ('morse profile --expr cb --p 5 --range 3..330', 0, '', '70273aa04f69f56a'),
     ('morse fit-alpha --which 2adic --n-max 256 --depth 4', 0, '', 'b4bff053a61e2775'),
     ('morse fit-alpha --which 2adic --n-max 64 --depth 3', 0, '', '573a1ec75f64d0ce'),
     ('morse report --which 5adic --n-max 200 --depth 3', 0, '', 'aad88c0d98ce040c'),

@@ -54,32 +54,32 @@ class TestValuationTheorem:
 class TestValuationProfile:
     def test_examples(self):
         prof = valuation_profile("cb", 2, range(3, 4))
-        assert prof.rows[0].valuation == 0  # L_3 = 325 is odd
+        assert prof.valuations[0] == 0  # L_3 = 325 is odd
 
         prof5 = valuation_profile("cb", 5, range(4, 21))
-        assert all(r.valuation == 2 for r in prof5.rows if r.n % 2 == 0)
+        assert all(v == 2 for n, v in zip(prof5.n_range, prof5.valuations) if n % 2 == 0)
 
         prof2 = valuation_profile("cb-c", 2, range(2, 3))
-        assert prof2.rows[0].valuation == 3  # xi_2(10 - 2)
+        assert prof2.valuations[0] == 3  # xi_2(10 - 2)
 
     def test_zero_rows_marked_infinite(self):
         prof = valuation_profile("cb-1", 3, range(0, 4))
-        assert prof.rows[0].valuation is None  # L_0 - 1 = 0
-        assert prof.rows[1].valuation is None  # L_1 - 1 = 0
-        assert prof.rows[2].valuation == 2  # L_2 - 1 = 9
-        assert prof.rows[3].valuation == 4  # L_3 - 1 = 324
+        assert prof.valuations[0] is None  # L_0 - 1 = 0
+        assert prof.valuations[1] is None  # L_1 - 1 = 0
+        assert prof.valuations[2] == 2  # L_2 - 1 = 9
+        assert prof.valuations[3] == 4  # L_3 - 1 = 324
 
     def test_exact_mode_reports_bits(self):
         prof = valuation_profile("cb", 2, range(1, 10))
         assert prof.mode == "exact"
-        assert all(r.value_bits is not None for r in prof.rows)
+        assert prof.value_bits == [morse_number(n).bit_length() for n in range(1, 10)]
 
     def test_residue_mode_matches_exact(self):
         wide = valuation_profile("cb", 5, range(300, 340))
         assert wide.mode == "residue"
         exact = valuation_profile("cb", 5, range(300, 321))
-        for r_wide, r_exact in zip(wide.rows, exact.rows):
-            assert r_wide.valuation == r_exact.valuation
+        assert wide.value_bits is None
+        assert wide.valuations[:21] == exact.valuations
 
     def test_csv_shape(self):
         lines = valuation_profile("cb", 2, range(0, 3)).to_csv().strip().split("\n")

@@ -294,14 +294,13 @@ class TestCheckConditions:
         assert [(w.order, w.x, w.value) for w in report.witnesses] == [(1, 1, 6), (2, 0, 2)]
 
     def test_qmain(self):
-        assert check_conditions(WeightFunction.polynomial([1, 9]), "qmain", q=3).holds
         assert check_conditions(WeightFunction.polynomial([1, 9]), "qmain:3").holds
-        assert not check_conditions(WeightFunction.polynomial([1, 3]), "qmain", q=3).holds
-        assert not check_conditions(WeightFunction.polynomial([2, 9]), "qmain", q=3).holds
+        assert not check_conditions(WeightFunction.polynomial([1, 3]), "qmain:3").holds
+        assert not check_conditions(WeightFunction.polynomial([2, 9]), "qmain:3").holds
 
     def test_qmain_needs_prime_power(self):
         with pytest.raises(DomainError, match="prime power"):
-            check_conditions(WeightFunction.preset("ones"), "qmain", q=6)
+            check_conditions(WeightFunction.preset("ones"), "qmain:6")
         with pytest.raises(DomainError, match="branching"):
             check_conditions(WeightFunction.preset("ones"), "qmain")
 
