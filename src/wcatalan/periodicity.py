@@ -278,10 +278,13 @@ def analyze_weight_period(
 
     When a truncation index k exists the DP is height-capped at k, the
     report is certified, and the cycle detector's state width is the degree
-    of the truncated denominator; otherwise the full DP runs uncertified
-    with state width 4.  A window above MAX_WINDOW terms raises
-    ResourceLimitError before any residue is computed.
+    of the truncated denominator Q mod m, whose recurrence the residues
+    obey; otherwise the full DP runs uncertified with state width 4.  A
+    window below 1 term raises DomainError and one above MAX_WINDOW terms
+    ResourceLimitError, both before any residue or P/Q is computed.
     """
+    if max_terms < 1:
+        raise DomainError("need at least one term")
     if max_terms > MAX_WINDOW:
         raise ResourceLimitError(
             f"period window capped at {MAX_WINDOW} terms (requested {max_terms})"
@@ -293,10 +296,7 @@ def analyze_weight_period(
         certified = False
     else:
         cap = k
-        pq = continued_fraction_pq(b, k)
-        width = max(1, pq.Q.degree)
+        width = max(1, continued_fraction_pq(b, k, modulus).Q.degree)
         certified = True
-    if max_terms < 1:
-        raise DomainError("need at least one term")
     residues = catalan.weighted_catalan_series(b, max_terms - 1, height_cap=cap, modulus=modulus)
     return detect_period(residues, modulus, max_terms, width, certified=certified)

@@ -4,15 +4,17 @@ A weight is a polynomial, a finite table, or a named preset.  The module
 evaluates weights, certifies membership in the class F(q) = {f : q^n divides
 the n-th forward difference of f everywhere}, extracts the carry sequence
 eps_n = (diff^n f / q^n) mod q, and checks the divisibility hypotheses of the
-valuation theorems.
+valuation theorems.  Each theorem id is one row of `_THEOREMS`: its arity
+and its clauses, which `check_conditions` reads in one loop over the same
+difference scan.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
 
 from .arith import ValueTable, digit_sum, is_prime
 from .errors import DomainError, WeightSpecError
@@ -31,8 +33,6 @@ __all__ = [
 ]
 
 WEIGHT_SPEC_GRAMMAR = "preset:NAME | poly:c0,c1,... | table:v0,v1,..."
-
-THEOREM_IDS = ("ps", "main", "conj", "qmain")
 
 _PRESET_POLYS = {
     "ones": (1,),             # b(k) = 1
@@ -297,46 +297,60 @@ class ConditionReport:
         }
 
 
-@dataclass(frozen=True)
-class _PointClause:
-    clause_id: str
-    holds: bool
-    x: int
-    value: int
+# One row per theorem id: whether the id takes a branching argument Q
+# (without one q = 2), then its point clauses and its family clauses, each
+# in report order.  A point clause (id, read, r, m) asks that read(b) = r
+# mod m, m None meaning q, and a failure is witnessed at x = 0 by the value
+# read.  A family clause (id, first, last, e) asks that q^e(n) divide
+# diff^n b for first <= n <= last (None: every order), e nondecreasing.
+_THEOREMS = {
+    "ps": (False,
+           [("b0-odd", lambda b: b(0), 1, 2)],
+           [("2^(n+1)-divides-diff-n", 1, None, lambda n: n + 1)]),
+    "main": (False,
+             [("b0-odd", lambda b: b(0), 1, 2)],
+             [("4-divides-diff-1", 1, 1, lambda n: 2),
+              ("2^n-divides-diff-n", 2, None, lambda n: n)]),
+    "conj": (False,
+             [("b0-odd", lambda b: b(0), 1, 2),
+              ("b0-b1-agree-mod-4", lambda b: b(1) - b(0), 0, 4)],
+             [("2^(n-s2(n))-divides-diff-n", 2, None, lambda n: n - digit_sum(2, n))]),
+    "qmain": (True,
+              [("b0-is-1-mod-q", lambda b: b(0), 1, None)],
+              [("q^2-divides-diff-1", 1, 1, lambda n: 2),
+               ("q^n-divides-diff-n", 2, None, lambda n: n)]),
+}
 
-
-@dataclass(frozen=True)
-class _FamilyClause:
-    """Requires base^exponent(n) | diff^n b(x) for all x, for n in the order range."""
-
-    clause_id: str
-    first_order: int
-    last_order: int | None  # None = unbounded
-    base: int
-    exponent: Callable[[int], int]  # nondecreasing over the order range
-
+THEOREM_IDS = tuple(_THEOREMS)
 
 _WITNESS_CAP = 8
 
 
-def _parse_theorem(theorem: str) -> tuple[str, int]:
+def _parse_theorem(theorem: str):
+    """The id's report label, its base q and its `_THEOREMS` row.
+
+    Ids are case-insensitive; a suffix ":Q" is read only for an id that
+    takes one, and any suffix on another id is refused.
+    """
     name, sep, arg = theorem.lower().partition(":")
-    try:
-        q = int(arg) if sep else None
-    except ValueError:
-        raise DomainError(f"bad theorem argument in '{theorem}'") from None
-    if name not in THEOREM_IDS:
+    if name not in _THEOREMS:
         raise DomainError(
             f"unknown theorem '{theorem}'; expected one of {', '.join(THEOREM_IDS)}"
         )
-    if name == "qmain":
-        if q is None:
-            raise DomainError("qmain needs a branching argument, e.g. qmain:3")
-        if not _is_prime_power(q):
-            raise DomainError(f"qmain needs a prime power branching, got {q}")
-    else:
-        q = 2
-    return name, q
+    row = _THEOREMS[name]
+    if not row[0]:
+        if sep:
+            raise DomainError(f"theorem '{name}' takes no argument")
+        return name, 2, row
+    if not sep:
+        raise DomainError(f"{name} needs a branching argument, e.g. {name}:3")
+    try:
+        q = int(arg)
+    except ValueError:
+        raise DomainError(f"bad theorem argument in '{theorem}'") from None
+    if not _is_prime_power(q):
+        raise DomainError(f"{name} needs a prime power branching, got {q}")
+    return f"{name}:{q}", q, row
 
 
 def _is_prime_power(q: int) -> bool:
@@ -364,45 +378,6 @@ def _integer_root(n: int, k: int) -> int:
         r = s
 
 
-def _theorem_clauses(name: str, q: int, b: WeightFunction):
-    b0 = b.eval(0)
-    points: list[_PointClause] = []
-    families: list[_FamilyClause] = []
-    if name == "ps":
-        points.append(_PointClause("b0-odd", b0 % 2 == 1, 0, b0))
-        families.append(_FamilyClause("2^(n+1)-divides-diff-n", 1, None, 2, lambda n: n + 1))
-    elif name == "main":
-        points.append(_PointClause("b0-odd", b0 % 2 == 1, 0, b0))
-        families.append(_FamilyClause("4-divides-diff-1", 1, 1, 2, lambda n: 2))
-        families.append(_FamilyClause("2^n-divides-diff-n", 2, None, 2, lambda n: n))
-    elif name == "conj":
-        b1 = b.eval(1)
-        points.append(_PointClause("b0-odd", b0 % 2 == 1, 0, b0))
-        families.append(
-            _FamilyClause(
-                "2^(n-s2(n))-divides-diff-n", 2, None, 2, lambda n: n - digit_sum(2, n)
-            )
-        )
-        points.append(_PointClause("b0-b1-agree-mod-4", (b1 - b0) % 4 == 0, 0, b1 - b0))
-    else:  # qmain
-        points.append(_PointClause("b0-is-1-mod-q", (b0 - 1) % q == 0, 0, b0))
-        families.append(_FamilyClause("q^2-divides-diff-1", 1, 1, q, lambda n: 2))
-        families.append(_FamilyClause("q^n-divides-diff-n", 2, None, q, lambda n: n))
-    return points, families
-
-
-def _family_witnesses_table(window: ValueTable, fam: _FamilyClause) -> list[ConditionWitness]:
-    """For each order the clause fails, the first x on the window that fails it."""
-    out: list[ConditionWitness] = []
-    scan = _difference_scan(window, fam.base, fam.exponent, fam.first_order, fam.last_order)
-    for n, _, miss in scan:
-        if miss is not None:
-            out.append(ConditionWitness(fam.clause_id, n, *miss))
-            if len(out) >= _WITNESS_CAP:
-                break
-    return out
-
-
 def check_conditions(
     b: WeightFunction,
     theorem: str,
@@ -411,50 +386,45 @@ def check_conditions(
 ) -> ConditionReport:
     """Test a theorem's divisibility hypotheses against a weight.
 
-    theorem is one of "ps", "main", "conj", or "qmain:Q".  Both
-    kinds are checked pointwise on a table of values.  For a polynomial of
-    degree d, b(0..d+1) fix every difference, so the verdict is exact for
-    all x; table weights are checked on the window only.
+    theorem is one of "ps", "main", "conj", or "qmain:Q" (see `_THEOREMS`).
+    Every clause is checked pointwise on one table of values.  For a
+    polynomial of degree d, b(0..d+1) fix every difference, so the verdict
+    is exact for all x and a window is refused; a table weight is checked
+    on the window only (default: the whole table), and a family clause
+    names at most `_WITNESS_CAP` failing orders.
     """
-    name, q = _parse_theorem(theorem)
-    label = name if name != "qmain" else f"qmain:{q}"
-    points, families = _theorem_clauses(name, q, b)
-
+    label, q, (_, points, families) = _parse_theorem(theorem)
+    if window is not None and b.is_polynomial:
+        raise DomainError(
+            "--window applies to table weights; a polynomial's verdict covers every x"
+        )
     clauses: dict[str, bool] = {}
     witnesses: list[ConditionWitness] = []
-    for pc in points:
-        clauses[pc.clause_id] = pc.holds
-        if not pc.holds:
-            witnesses.append(ConditionWitness(pc.clause_id, None, pc.x, pc.value))
+    for clause, read, residue, modulus in points:
+        value = read(b)
+        clauses[clause] = (value - residue) % (modulus or q) == 0
+        if not clauses[clause]:
+            witnesses.append(ConditionWitness(clause, None, 0, value))
 
     if b.is_polynomial:
         # diff^n b(0..deg-n) fix the Newton coefficients n..deg, which fix
         # diff^n b everywhere: the first x failing order n is at most deg - n
-        scope = "all-x"
-        win = window if window is not None else range(0, b.degree + 2)
-        tab = b.as_table(0, b.degree + 2)
+        scope, win = "all-x", range(0, b.degree + 2)
     else:
         scope = "window"
-        assert b.table is not None
         win = window if window is not None else range(0, len(b.table))
-        if win.stop > len(b.table):
-            win = range(win.start, len(b.table))
+        win = range(win.start, min(win.stop, len(b.table)))
         if len(win) < 2:
-            raise DomainError(
-                f"condition window needs at least 2 points, got {len(win)}"
-            )
-        tab = b.as_table(win.start, len(win))
-    for fam in families:
-        bad = _family_witnesses_table(tab, fam)
-        clauses[fam.clause_id] = not bad
+            raise DomainError(f"condition window needs at least 2 points, got {len(win)}")
+    tab = b.as_table(win.start, len(win))
+    for clause, first, last, exponent in families:
+        scan = _difference_scan(tab, q, exponent, first, last)
+        misses = ((n, miss) for n, _, miss in scan if miss is not None)
+        bad = [ConditionWitness(clause, n, *miss)
+               for n, miss in itertools.islice(misses, _WITNESS_CAP)]
+        clauses[clause] = not bad
         witnesses.extend(bad)
 
-    holds = all(clauses.values())
-    return ConditionReport(
-        theorem=label,
-        holds=holds,
-        scope=scope,
-        window=(win.start, win.stop),
-        clauses=clauses,
-        witnesses=tuple(witnesses),
-    )
+    return ConditionReport(theorem=label, holds=all(clauses.values()), scope=scope,
+                           window=(win.start, win.stop), clauses=clauses,
+                           witnesses=tuple(witnesses))

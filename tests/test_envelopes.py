@@ -106,6 +106,26 @@ CASES = [
     ('check --weight preset:morse --theorem main', 0, '', 'cbcf5c4a06520c43'),
     ('check --weight table:1,3,5,7,9,11 --theorem ps --window 0..5', 0, '', 'c6dd8693b6f4e21a'),
     ('check --weight poly:1,1 --theorem main', 0, '', '417f1350ba5d65ff'),
+    # each theorem on a weight that meets its hypotheses and on one that does not
+    ('check --weight preset:ones --theorem ps', 0, '', '7220cf27c8bdd1fa'),
+    ('check --weight poly:1,2 --theorem ps', 0, '', '82e96e5d95e6c5fc'),
+    ('check --weight poly:1,2 --theorem main', 0, '', '94e90dff3e8f3002'),
+    ('check --weight preset:morse --theorem conj', 0, '', 'eb56053189daedce'),
+    ('check --weight poly:2,1 --theorem conj', 0, '', 'ad0edd8c93dc5cb9'),
+    ('check --weight poly:1,9 --theorem qmain:3', 0, '', 'f1878498ad96e519'),
+    ('check --weight poly:1,3 --theorem qmain:3', 0, '', 'a1179a0407f7a10b'),
+    ('check --weight poly:1,16,16 --theorem qmain:4', 0, '', '7149cd60113cf818'),
+    ('check --weight poly:1,4 --theorem qmain:4', 0, '', 'e2046eb577a5c26e'),
+    # conj failing only b0-b1-agree-mod-4; a ps family failing at 11 orders,
+    # of which the first 8 are witnessed; a table window clipped to the table
+    ('check --weight poly:1,2 --theorem conj', 0, '', 'b3f992d1e3d749fa'),
+    ('check --weight table:1,0,0,0,0,0,0,0,0,0,0,0 --theorem ps', 0, '', 'ffc0fc0346547160'),
+    ('check --weight table:1,3,5,7,9,11,13 --theorem main --window 2..100', 0, '', '81d5a3e73cfa9d12'),
+    # refused at the front: a suffix on an id that takes none, and a window
+    # on a polynomial, whose verdict covers every x
+    ('check --weight preset:morse --theorem main:7', 3, "error: theorem 'main' takes no argument\n", 'e3b0c44298fc1c14'),
+    ('check --weight preset:morse --theorem ps:', 3, "error: theorem 'ps' takes no argument\n", 'e3b0c44298fc1c14'),
+    ('check --weight poly:1,2 --theorem main --window 5..10', 3, "error: --window applies to table weights; a polynomial's verdict covers every x\n", 'e3b0c44298fc1c14'),
     ('orbits --n 0', 0, '', '2e5230d463c07131'),
     ('orbits --n 7 --reduce', 0, '', '300984dcc6767f7a'),
     ('orbits --n 9 --minimal', 0, '', '559234fb874b08d6'),
@@ -162,6 +182,11 @@ CASES = [
     ('period --weight preset:ones --mod 5 --max-terms 300', 0, '', '27858d039a0c96a2'),
     ('period --weight preset:morse --mod 7 --max-terms 0', 3, 'error: need at least one term\n', 'e3b0c44298fc1c14'),
     ('period --weight table:1,3 --mod 1 --max-terms 10', 3, 'error: modulus must be at least 2, got 1\n', 'e3b0c44298fc1c14'),
+    # an empty window is refused before the truncation index and P/Q (k = 4000
+    # here); the state width is deg(Q mod 101) = 0, so 64 terms show the
+    # residues vanish from n = 51 on, which a width of deg Q = 51 did not
+    ('period --weight poly:-4000,1 --mod 1000003 --max-terms 0', 3, 'error: need at least one term\n', 'e3b0c44298fc1c14'),
+    ('period --weight poly:-2,-2 --mod 101 --max-terms 64', 0, '', '95beceeaf8fca7dd'),
     ('pq --weight preset:morse --truncate 12 --mod 1000', 0, '', '620eb83028efefca'),
     ('pq --weight poly:1,1 --truncate 6', 0, '', 'b60d26da9dfc35d5'),
     # residues trim to [1] and [1, 2]

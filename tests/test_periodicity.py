@@ -413,6 +413,17 @@ class TestWindowCap:
         with pytest.raises(ResourceLimitError, match="capped at 4194304 terms"):
             analyze_weight_period(MORSE, 7, max_terms=periodicity.MAX_WINDOW + 1)
 
+    def test_empty_window_comes_before_any_residue_or_pq(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done for an empty window")
+
+        monkeypatch.setattr(catalan, "weighted_catalan_series", no_work)
+        monkeypatch.setattr(periodicity, "truncation_index", no_work)
+        monkeypatch.setattr(periodicity, "continued_fraction_pq", no_work)
+        for terms in (0, -5):
+            with pytest.raises(DomainError, match="need at least one term"):
+                analyze_weight_period(parse_weight_spec("poly:-4000,1"), 1000003, max_terms=terms)
+
     def test_cap_admits_the_largest_window_in_use(self):
         assert 22 * 2 * 3 ** (13 - 3) <= periodicity.MAX_WINDOW == 1 << 22
 
@@ -480,3 +491,27 @@ class TestPurePeriodicity:
         check = pure_periodicity_sufficient(pair, 25)
         assert not check.sufficient
         assert any("leading" in r for r in check.reasons)
+
+
+class TestStateWidth:
+    def test_width_comes_from_q_mod_m(self, monkeypatch):
+        calls = []
+        pq = periodicity.continued_fraction_pq
+
+        def recorded(b, n, modulus=None):
+            calls.append((n, modulus))
+            return pq(b, n, modulus)
+
+        monkeypatch.setattr(periodicity, "continued_fraction_pq", recorded)
+        analyze_weight_period(MORSE, 7, max_terms=200)
+        assert calls == [(3, 7)]
+
+    def test_q_mod_m_sees_a_vanishing_tail_in_a_short_window(self):
+        # b = -2 - 2x: 101 | b(100), so k = 100.  The exact Q has degree 51,
+        # but Q = 1 mod 101 and deg(P mod 101) = 50: the residues are 0 from
+        # n = 51 on, and a width-1 state sees that within 64 terms
+        b = parse_weight_spec("poly:-2,-2")
+        assert periodicity.continued_fraction_pq(b, 100).Q.degree == 51
+        assert periodicity.continued_fraction_pq(b, 100, 101).Q.coefficients == (1,)
+        report = analyze_weight_period(b, 101, max_terms=64)
+        assert (report.preperiod, report.period, report.certified) == (51, 1, True)

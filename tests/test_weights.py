@@ -1,16 +1,19 @@
 import itertools
 import math
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcatalan.arith import digit_sum, valuation
+from wcatalan.arith import ValueTable, digit_sum, finite_difference, valuation
 from wcatalan.catalan import catalan_number, weighted_catalan, weighted_catalan_series
 from wcatalan.cli import main
 from wcatalan.errors import DomainError, ResourceLimitError, WeightSpecError
 from wcatalan.weights import (
+    _THEOREMS,
+    THEOREM_IDS,
     WeightFunction,
     WeightMembershipError,
     _is_prime_power,
@@ -328,3 +331,122 @@ class TestCheckConditions:
     def test_unknown_theorem(self):
         with pytest.raises(DomainError, match="unknown theorem"):
             check_conditions(WeightFunction.preset("ones"), "frobnicate")
+
+    def test_theorem_ids_are_the_table(self):
+        assert THEOREM_IDS == tuple(_THEOREMS) == ("ps", "main", "conj", "qmain")
+
+    @pytest.mark.parametrize("name", [n for n, row in _THEOREMS.items() if not row[0]])
+    @pytest.mark.parametrize("suffix", [":", ":3", ":7", ":x", ":-1", ":2:2"])
+    def test_an_id_without_argument_refuses_any_suffix(self, name, suffix):
+        for theorem in (name + suffix, name.upper() + suffix):
+            with pytest.raises(DomainError, match=f"theorem '{name}' takes no argument"):
+                check_conditions(WeightFunction.preset("morse"), theorem)
+
+    def test_qmain_argument_errors(self):
+        ones = WeightFunction.preset("ones")
+        with pytest.raises(DomainError, match=r"bad theorem argument in 'qmain:x'"):
+            check_conditions(ones, "qmain:x")
+        with pytest.raises(DomainError, match="qmain needs a prime power branching, got 1"):
+            check_conditions(ones, "qmain:1")
+        assert check_conditions(ones, "QMAIN:09").theorem == "qmain:9"
+
+    def test_polynomial_window_refused_before_any_clause(self, monkeypatch):
+        def no_values(*args):
+            raise AssertionError("a clause was evaluated")
+
+        monkeypatch.setattr(WeightFunction, "__call__", no_values)
+        monkeypatch.setattr(WeightFunction, "as_table", no_values)
+        for spec in ("poly:1,2", "preset:morse"):
+            with pytest.raises(DomainError, match="--window applies to table weights"):
+                check_conditions(parse_weight_spec(spec), "main", window=range(5, 11))
+
+    def test_family_witnesses_stop_at_eight_orders(self):
+        # diff^n of a unit impulse is (-1)^n at x = 0: every order 1..11 fails
+        report = check_conditions(WeightFunction.from_table([1] + [0] * 11), "ps")
+        assert [w.order for w in report.witnesses] == list(range(1, 9))
+
+
+# clause -> divisor that diff^n b must meet at order n (1: no requirement),
+# written out apart from the table in weights.py
+_ORACLE_FAMILIES = {
+    "ps": {"2^(n+1)-divides-diff-n": lambda n, q: 2 ** (n + 1) if n >= 1 else 1},
+    "main": {"4-divides-diff-1": lambda n, q: 4 if n == 1 else 1,
+             "2^n-divides-diff-n": lambda n, q: 2**n if n >= 2 else 1},
+    "conj": {"2^(n-s2(n))-divides-diff-n":
+             lambda n, q: 2 ** (n - bin(n).count("1")) if n >= 2 else 1},
+    "qmain": {"q^2-divides-diff-1": lambda n, q: q * q if n == 1 else 1,
+              "q^n-divides-diff-n": lambda n, q: q**n if n >= 2 else 1},
+}
+
+
+def _oracle_points(name, q, b):
+    b0 = b(0)
+    if name == "qmain":
+        return [("b0-is-1-mod-q", b0 % q == 1, b0)]
+    points = [("b0-odd", b0 % 2 == 1, b0)]
+    if name == "conj":
+        points.append(("b0-b1-agree-mod-4", (b(1) - b0) % 4 == 0, b(1) - b0))
+    return points
+
+
+def _oracle(name, q, b, start, stop):
+    """Clause verdicts and witnesses by brute force over b(start..stop-1)."""
+    clauses, witnesses = {}, []
+    for clause, holds, value in _oracle_points(name, q, b):
+        clauses[clause] = holds
+        if not holds:
+            witnesses.append((clause, None, 0, value))
+    table = ValueTable(start, tuple(b(x) for x in range(start, stop)))
+    for clause, divisor in _ORACLE_FAMILIES[name].items():
+        failing = []
+        for n in range(len(table)):
+            diff = finite_difference(table, n)
+            bad = [(x, v) for x, v in enumerate(diff.values, start) if v % divisor(n, q)]
+            if bad:
+                failing.append((clause, n, *bad[0]))
+        clauses[clause] = not failing
+        witnesses += failing[:8]
+    return clauses, witnesses
+
+
+class TestCheckOracle:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+    def test_polynomials_against_brute_force(self, q):
+        # a polynomial's verdict covers every x: brute force on a window
+        # five points past the scanned one finds the same first witnesses
+        rng = random.Random(q)
+        names = ["ps", "main", "conj", "qmain"] if q == 2 else ["qmain"]
+        units = [1, q, q * q, 2, 4, 8]
+        for _ in range(120):
+            coeffs = [rng.choice(units) * rng.randint(-5, 5) for _ in range(rng.randint(0, 5) + 1)]
+            coeffs[0] = rng.choice([coeffs[0], 1 + q * rng.randint(-3, 3)])
+            b = WeightFunction.polynomial(coeffs)
+            for name in names:
+                theorem = name if name != "qmain" else f"qmain:{q}"
+                report = check_conditions(b, theorem)
+                assert report.scope == "all-x" and report.window == (0, b.degree + 2)
+                got = [(w.clause, w.order, w.x, w.value) for w in report.witnesses]
+                assert (report.clauses, got) == _oracle(name, q, b, 0, b.degree + 7), coeffs
+                assert report.holds == all(report.clauses.values())
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+    def test_tables_against_brute_force(self, q):
+        rng = random.Random(100 + q)
+        names = ["ps", "main", "conj", "qmain"] if q == 2 else ["qmain"]
+        for _ in range(120):
+            size = rng.randint(2, 14)
+            if rng.random() < 0.5:
+                values = [rng.randint(-40, 40) for _ in range(size)]
+            else:  # values of a polynomial in q x, so that some clauses hold
+                cs = [1 + q * rng.randint(-2, 2)] + [rng.randint(-3, 3) for _ in range(3)]
+                values = [sum(c * (q * x) ** i for i, c in enumerate(cs)) for x in range(size)]
+            b = WeightFunction.from_table(values)
+            start = rng.randint(0, size - 2)
+            window = rng.choice([None, range(start, rng.randint(start + 2, size + 4))])
+            lo, hi = (0, size) if window is None else (window.start, min(window.stop, size))
+            for name in names:
+                theorem = name if name != "qmain" else f"qmain:{q}"
+                report = check_conditions(b, theorem, window=window)
+                assert report.scope == "window" and report.window == (lo, hi)
+                got = [(w.clause, w.order, w.x, w.value) for w in report.witnesses]
+                assert (report.clauses, got) == _oracle(name, q, b, lo, hi), (values, window)
