@@ -60,6 +60,12 @@ CASES = [
     ('compute --weight preset:ones --n 10', 0, '', '8f9964844aabda84'),
     ('compute --weight preset:morse --n 300 --mod 1000003', 0, '', '38985f0690248e11'),
     ('compute --weight preset:morse --n 40 --mod 97', 0, '', '6b6361c694297756'),
+    # powers of two: the tree at 17-, 8- and 2-byte slots (2^61, 2^16, 2),
+    # and the DP below 128 terms
+    ('compute --weight preset:morse --n 600 --mod 2305843009213693952', 0, '', '90b4314e58209ffb'),
+    ('compute --weight preset:morse --n 1000 --mod 65536', 0, '', '8bbba4b72f10aa5d'),
+    ('compute --weight poly:1,2 --n 200 --mod 2', 0, '', 'e336aaa1c50064e2'),
+    ('compute --weight preset:morse --n 100 --mod 1024', 0, '', '80728a9587bd61c8'),
     ('compute --weight poly:3,-5,2 --n 12 --q 3 --mod 97', 0, '', '9d4e649461dc5eb4'),
     ('compute --weight preset:matchings --n 8 --q 3', 0, '', 'b4dc0604426a1389'),
     ('compute --weight table:1,9 --n 5', 3, 'error: table weight has 2 entries (x < 2); extend the table to evaluate b(2)\n', 'e3b0c44298fc1c14'),
@@ -102,6 +108,10 @@ CASES = [
     # an exact window whose first rows are exact zeros
     ('valuation --weight poly:3,2,1 --p 3 --range 37..721', 0, '', '8c66cf7db141b469'),
     ('valuation --weight preset:morse --p 3 --expr cb-1 --range 0..330 --format csv', 0, '', '8984d1d84401bacc'),
+    # 2-adic residue windows: the tree at 28, 55 and 109 bits, then the DP;
+    # and an odd weight over a window past 0
+    ('valuation --weight poly:6,14,2 --p 2 --expr cb --range 1..400', 0, '', '6cddc304b9a9f7c9'),
+    ('valuation --weight poly:1,0,4 --p 2 --expr cb-1 --range 15..720 --format csv', 0, '', '42dabc565d92a554'),
     ('valuation --weight preset:morse --p 2 --expr cb-c --range 0..12', 0, '', 'e9740c4d27e8d30a'),
     ('check --weight preset:morse --theorem main', 0, '', 'cbcf5c4a06520c43'),
     ('check --weight table:1,3,5,7,9,11 --theorem ps --window 0..5', 0, '', 'c6dd8693b6f4e21a'),
@@ -215,6 +225,11 @@ CASES = [
     ('morse report --which 2adic-general:3 --n-max 300 --depth 6', 0, '', '9b7ff72a02f7d1bd'),
     ('morse report --which 2adic-general --n-max 100 --depth 4', 0, '', '559d163a1d600eb4'),
     ('morse report --which 2adic-general:2 --n-max 32 --depth 6', 0, '', 'cbfe9a85c70d1c4b'),
+    # the 2-adic jobs at deck size: each certification's first rung is one
+    # tree call mod 2^25..2^28
+    ('morse report --which 2adic --n-max 2048 --depth 6', 0, '', '4656de557bd7f72f'),
+    ('morse report --which 2adic-general:4 --n-max 1024 --depth 6', 0, '', 'cb2bf65c31da9438'),
+    ('morse fit-alpha --which 2adic --n-max 1024 --depth 6', 0, '', '25db4bfb453309a0'),
     ('morse fit-alpha --which 5adic --n-max 200 --depth 3', 0, '', 'a6a8af29e01a8e6a'),
     # the fitter stops above the deepest datum: depth 40 gives the depth-3
     # fit at once (depth 13 took 57 s)
