@@ -1,7 +1,8 @@
 """Truncated power series over Z/mZ and the S-fraction residue engine.
 
 Polynomials are lists of coefficients, lowest degree first, reduced into
-[0, m).  Every product is one call of `_matmul`, which multiplies rows by
+[0, m), except in the residue engine mod a power of two (below).  Every
+product of lists is one call of `_matmul`, which multiplies rows by
 columns of one or two polynomials through Kronecker substitution: each
 operand is packed once into one Python int with a fixed-width slot per
 coefficient, wide enough that no slot of an entry overflows, so an entry
@@ -36,6 +37,15 @@ operations.  Its slots are wide enough for the exact block and for A + B
 and C + D; a leaf is reduced once, when it is unpacked, all four entries
 for a matrix and the two sums for the fraction spine.  Above the leaves
 every product is reduced.
+
+Mod a power of two, m = 2^K, `dyck_series_mod` runs the same tree,
+inverse and quotient with every polynomial kept packed, in slots of one
+width for the whole call (`_dyck_series_pow2`): reducing every slot mod m
+is one `& mask`, a bitwise AND with m - 1 in every slot, and only the
+result is unpacked.  Other moduli keep the lists, unpacked and reduced by
+one `% m` per coefficient between levels: the packed reductions tried for
+them, an `array` `%` per leaf level and a SWAR Barrett reduction of every
+slot at once, were slower or barely faster (ROADMAP, dead ends).
 """
 
 from __future__ import annotations
@@ -97,6 +107,15 @@ def _pack(coeffs: list[int], width: int) -> int:
     return int.from_bytes(words.tobytes(), "little")
 
 
+def _words(data, width: int) -> array:
+    """Little-endian slots of `width` bytes, at most one word, as an unsigned array."""
+    words = array(_TYPECODES[width])
+    words.frombytes(data)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
 def _unpack(packed: int, width: int, count: int | None, modulus: int) -> list[int]:
     """Slots of `packed` reduced mod `modulus`, trailing zeros dropped.
 
@@ -112,11 +131,7 @@ def _unpack(packed: int, width: int, count: int | None, modulus: int) -> list[in
         read = int.from_bytes
         out = [read(data[i : i + width], "little") % modulus for i in range(0, count * width, width)]
     else:
-        words = array(_TYPECODES[width])
-        words.frombytes(memoryview(data)[: count * width])
-        if sys.byteorder == "big":
-            words.byteswap()
-        out = [c % modulus for c in words]
+        out = [c % modulus for c in _words(memoryview(data)[: count * width], width)]
     while out and not out[-1]:
         out.pop()
     return out
@@ -239,6 +254,8 @@ def dyck_series_mod(bvals, n_max: int, modulus: int, height: int) -> list[int]:
     are trusted: `kernel.dyck_dp_mod` checks them and resolves a height cap
     into `height` (at most n_max, and no more than len(bvals)).
     """
+    if modulus & (modulus - 1) == 0:
+        return _dyck_series_pow2(bvals, n_max, modulus, height)
     numer, denom = fraction_mod(bvals, modulus, height)
     # One-step quotient (Karp and Markstein 1997): with g = 1/denom to half
     # the order, q0 = numer g is right to half the order, and the remainder
@@ -257,3 +274,78 @@ def dyck_series_mod(bvals, n_max: int, modulus: int, height: int) -> list[int]:
         rest.pop()
     q1 = mul_mod(g, rest, modulus, order - half)
     return q0 + [0] * (half - len(q0)) + q1 + [0] * (order - half - len(q1))
+
+
+def _dyck_series_pow2(bvals, n_max: int, modulus: int, height: int) -> list[int]:
+    """`dyck_series_mod` for a power of two m = 2^K, every polynomial one packed int.
+
+    A polynomial has order = n_max + 1 slots, all of the width that
+    `_slot_bytes` gives for order terms, which holds a sum of two products
+    of reduced polynomials.  So a product is one big-int product, and
+    `& mask`, with m - 1 in every slot, reduces each slot mod m and cuts the
+    product to the order; `low(size)` cuts it to `size` terms.  A difference
+    f - g is (f + top - g) & mask, with m in every slot of `top`, so that no
+    slot borrows.  The tree, the Newton inverse and the one-step quotient are
+    those of the list engine; only the result is unpacked.
+    """
+    order = n_max + 1
+    half = (order + 1) // 2
+    width = _slot_bytes(modulus, order)
+    shift = 8 * width
+    # 1 in every slot, by doubling shifts: all-ones divided by 2^shift - 1
+    # would be quadratic at wide slots
+    ones, slots = 1, 1
+    while slots < order:
+        ones |= ones << (shift * slots)
+        slots *= 2
+    ones &= (1 << (shift * order)) - 1
+    top = ones * modulus
+    mask = top - ones
+
+    def low(size):
+        return mask & ((1 << (shift * size)) - 1)
+
+    steps = [-v % modulus for v in bvals[:height]]
+
+    def matrix(lo, hi):
+        if hi - lo <= _LEAF_LEVELS:
+            a, b, c, d = 1, 0, 0, 1
+            for s in steps[lo:hi]:
+                a, b = (s * b << shift) & mask, (a + b) & mask
+                c, d = (s * d << shift) & mask, (c + d) & mask
+            return a, b, c, d
+        mid = (lo + hi) // 2
+        a1, b1, c1, d1 = matrix(lo, mid)
+        a2, b2, c2, d2 = matrix(mid, hi)
+        return (
+            (a1 * a2 + b1 * c2) & mask,
+            (a1 * b2 + b1 * d2) & mask,
+            (c1 * a2 + d1 * c2) & mask,
+            (c1 * b2 + d1 * d2) & mask,
+        )
+
+    def fraction(lo, hi):
+        if hi - lo <= _LEAF_LEVELS:
+            a, b, c, d = matrix(lo, hi)
+            return (a + b) & mask, (c + d) & mask
+        mid = (lo + hi) // 2
+        a, b, c, d = matrix(lo, mid)
+        u, v = fraction(mid, hi)
+        return (a * u + b * v) & mask, (c * u + d * v) & mask
+
+    numer, denom = fraction(0, height)
+    g, known = pow(denom & (modulus - 1), -1, modulus), 1
+    while known < half:
+        target = min(2 * known, half)
+        err = ((denom & low(target)) * g & low(target)) >> (shift * known)
+        corr = g * err & low(target - known)
+        g |= ((top - corr) & low(target - known)) << (shift * known)
+        known = target
+    q0 = (numer & low(half)) * g & low(half)
+    fit = denom * q0 & mask
+    rest = ((numer >> (shift * half)) + top - (fit >> (shift * half))) & low(order - half)
+    packed = q0 | (g * rest & low(order - half)) << (shift * half)
+    data = packed.to_bytes(order * width, "little")
+    if width > _WORD_BYTES:
+        return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    return list(_words(data, width))

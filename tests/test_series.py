@@ -9,6 +9,8 @@ run on the same normalized weights, so `test_kernel.py` checks each of them
 against references that share nothing with the DP.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -295,6 +297,82 @@ def test_engine_matches_dp_at_the_word_boundary():
             assert got == [v % m for v in reference[:terms]], (m, terms)
     # the first certification rung for n_max = 2048 at p = 2 is narrower
     assert series.dyck_series_mod(bvals, n, 2**24, n) == [v % 2**24 for v in reference]
+
+
+# Powers of two whose slots, at the orders below, take every width the
+# packed engine can have: 1, 2, 4 and 8 bytes, and wider ones cut out of bytes.
+POW2_EXPONENTS = [*range(1, 9), 16, 25, 26, 27, 30, 31, 54, 61, 62, 64, 65, 108, 130]
+POW2_ORDERS = [0, 1, 2, 31, 32, 33, 64, 127, 128, 300, 700]
+
+
+def _signed_weights(count, seed):
+    """Small odd, huge and even signed values, and one zero: the height at
+    which 2^K divides b(0)...b(k) spreads out over K."""
+    rng = random.Random(seed)
+    top = 2 ** max(POW2_EXPONENTS)
+    draws = (
+        lambda: rng.randrange(-9, 10, 2),
+        lambda: rng.randrange(-4 * top, 4 * top),
+        lambda: rng.randrange(-9, 10, 2) << rng.randint(1, 6),
+    )
+    values = [rng.choice(draws)() for _ in range(count)]
+    values[3 * count // 4] = 0
+    return values
+
+
+@pytest.mark.parametrize("n", POW2_ORDERS)
+def test_packed_engine_matches_dp(n):
+    """The packed engine mod 2^K against the reference DP mod 2^130, reduced,
+    at heights 0, 1, 2, a cap below n, the vanishing height and n; and the
+    kernel, on whichever side of the crossover its arguments fall, at each
+    cap."""
+    bvals = _signed_weights(n + 1, n)
+    wide = 2 ** max(POW2_EXPONENTS)
+    reference = {}
+    sides = set()
+    for k in POW2_EXPONENTS:
+        m = 2**k
+        vanishing = kernel.vanishing_height(bvals[:n], m)
+        for h in sorted({min(h, n) for h in (0, 1, 2, n // 3, n)} | {vanishing or 0}):
+            if h not in reference:
+                reference[h] = kernel._dyck_dp(bvals, n, wide, h)
+            want = [v % m for v in reference[h]]
+            assert series._dyck_series_pow2(bvals, n, m, h) == want, (k, h)
+            # the kernel lowers h to the vanishing height, also in `reference`
+            capped = kernel._check_args(bvals, n, m, h)
+            sides.add(kernel.series_wins(n, m, capped))
+            want = [v % m for v in reference[capped]]
+            assert kernel.dyck_dp_mod(bvals, n, m, h) == want, (k, h)
+    assert sides == ({True, False} if n >= kernel.SERIES_MIN_TERMS else {False})
+
+
+def test_packed_cases_take_every_slot_width():
+    widths = {series._slot_bytes(2**k, n + 1) for k in POW2_EXPONENTS for n in POW2_ORDERS}
+    assert {1, 2, 4, 8} <= widths and max(widths) > 8
+
+
+def test_each_modulus_reaches_its_engine(monkeypatch):
+    """On the tree side a power of two runs the packed engine and an odd or
+    even non-power modulus the list engine; below the crossover neither."""
+    calls = []
+    for name in ("_dyck_series_pow2", "fraction_mod"):
+        real = getattr(series, name)
+        monkeypatch.setattr(
+            series, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+        )
+    bvals = WeightFunction.preset("morse").values(0, 301)
+    for m, n, engine in [
+        (2**26, 300, "_dyck_series_pow2"),
+        (2, 300, "_dyck_series_pow2"),
+        (2**61, 300, "_dyck_series_pow2"),
+        (3**16, 300, "fraction_mod"),
+        (3 * 2**20, 300, "fraction_mod"),
+        (2**26, 100, None),
+    ]:
+        assert kernel.series_wins(n, m, n) == (engine is not None)
+        calls.clear()
+        kernel.dyck_dp_mod(bvals, n, m)
+        assert calls == ([engine] if engine else []), m
 
 
 @st.composite
