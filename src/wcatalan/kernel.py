@@ -11,7 +11,9 @@ Residues mod m come from one of two pure-Python engines:
 1. the S-fraction product tree in `series`, from 128 terms on at every
    height for a modulus below 2^30, and for wider moduli when the height
    limit, the number of terms and the modulus size all sit on its side of
-   the measured crossover below;
+   the measured crossover below; mod a power of two its polynomials stay
+   packed, one int each, reduced by a mask (`series._dyck_series_pow2`),
+   and mod any other m they are lists reduced by `% m`;
 2. otherwise the Dyck DP in this module, whose O(n h) cost wins for few
    terms, for small heights under a modulus of 31 bits or more, and for
    moduli far above word size.
@@ -65,9 +67,11 @@ BACKEND = "pure"
 # modulus width; the tree costs a few Karatsuba products of n coefficients,
 # each slot twice the modulus width, and one `%` per slot.  A modulus below
 # 2^30 is one CPython digit, whose `%` takes a fast path, and there the tree
-# wins at every height from 128 terms on: for h = 1-8 at 4-30 bits, DP/tree
-# time is 1.1-2.0 at n = 128, 2.5-6.4 at n = 1024, 3.4-6.2 at n = 4096 and
-# 3.9-7.7 at n = 10000.  At 31-33 bits it is 0.66-1.13 for h = 1-2 at
+# wins at every height from 128 terms on.  For h = 1-8 at 4-30 bits (random
+# and Morse weights, best of 3-5, two runs of one sweep), DP/tree time is
+# 1.1-2.2 at n = 128, 1.8-6.2 at n = 1024 and 2.8-7.3 at n = 4096 for an
+# odd modulus, on lists, and 1.6-10, 2.4-26 and 2.9-30 for a power of two,
+# on packed words.  At 31-33 bits it is 0.66-1.13 for h = 1-2 at
 # n = 128, and at 61-64 bits the tree loses for h <= 4 (0.61-0.88 at
 # n = 128).  So wider moduli keep a height floor: up to 64 bits the tree
 # wins from height 16 and 128 terms on (h = 15: 1.6-2.9 at n = 128-1024).
