@@ -73,13 +73,16 @@ def _convolve(a: list[int], b: list[int], size: int) -> list[int]:
 
 # The widest modulus for the q-ary residue engine.  Its cost grows with
 # about the square of the modulus width, and the exact loop's with the size
-# of the values, so b = 1, with the smallest values, sets the cut.  Exact
-# loop against residues at 64 / 128 / 192 bits, in process (Python 3.11,
-# 2-core x86-64 VM): b = 1 at q = 3, n = 240, 0.68 s against 0.21 / 0.43 /
-# 0.72 s; at q = 2, n = 240, 0.32 s against 0.15 / 0.31 / 0.47 s; at q = 5,
-# n = 200, 0.96 s against 0.22 / 0.47 / 0.99 s.  Heavier weights move the
-# cut out: b = 3 - 5x + 2x^2 and the Morse weights at q = 3, n = 240 take
-# 4.4 and 5.0 s exactly, against at most 0.50 s at 128 bits and 2.0 s at 384.
+# of the values.  A constant weight takes the closed form and never reaches
+# the loop, so a nearly constant one, b = 1 but for b(n - 1) = 2, has the
+# smallest values that do, and sets the cut.  `_q_weighted` exact against
+# residues at 64 / 128 / 192 / 256 bits, in process (Python 3.11, 2-core
+# x86-64 VM, best of 2): at q = 3, n = 240, 1.30-1.46 s against 0.37-0.42 /
+# 0.86-1.15 / 1.47-1.81 / 2.14-2.36 s; at q = 5, n = 200, 1.83 s against
+# 0.44 / 0.94 / 1.66 / 2.53 s; at q = 2, n = 240 (which the binary DP
+# serves in the CLI), 0.53 s against 0.32 / 0.67 / 1.03 / 1.51 s.  Heavier
+# weights move the cut out: 1 + x and 3 - 5x + 2x^2 at q = 3, n = 240 take
+# 3.5 and 7.8 s exactly, against 0.8 s at 128 bits and 1.9-2.5 s at 256.
 _Q_RESIDUE_BITS = 128
 
 

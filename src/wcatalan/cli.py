@@ -129,12 +129,17 @@ def _write_json(obj, write, indent: str = "") -> None:
 
     A `_Table` (the rows of orbits, valuation and morse profile) is written
     as its list of rows, column by column.  A non-empty list of scalars goes
-    through the C encoder in one call and is re-indented.  Everything else,
-    the short lists of dicts in check and morse report among it, is walked
-    here one level at a time, so the document is never held as one string.
+    through the C encoder in one call and is re-indented.  A dataclass (the
+    results of check, period and the morse commands) is written as the
+    mapping of its fields, in declaration order: its fields are its schema.
+    Everything else, the short lists of dicts in morse report among it, is
+    walked here one level at a time, so the document is never held as one
+    string.
     """
     inner = indent + "  "
-    if isinstance(obj, _Table):
+    if type(obj) in _SCALARS:  # most values walked: they pay one set lookup
+        write(_ENCODER.encode(obj))
+    elif isinstance(obj, _Table):
         _write_rows(obj, write, indent)
     elif isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) <= _SCALARS:
@@ -154,6 +159,9 @@ def _write_json(obj, write, indent: str = "") -> None:
             _write_json(value, write, inner)
             sep = ",\n" + inner
         write("\n" + indent + "}")
+    elif hasattr(obj, "__dataclass_fields__"):
+        # a dataclass's __init__ sets its fields in declaration order
+        _write_json(vars(obj), write, indent)
     else:
         write(_ENCODER.encode(obj))
 
@@ -218,13 +226,15 @@ def _cmd_check(args, started) -> int:
     window = _parse_range(args.window) if args.window else None
     report = check_conditions(b, args.theorem, window=window)
     params = {"weight": args.weight, "theorem": args.theorem}
-    _emit("check", params, report.to_json_dict(), started)
+    _emit("check", params, report, started)
     return EXIT_OK
 
 
 def _cmd_orbits(args, started) -> int:
     # every orbit listed has n vertices, so "vertices" is one shared scalar
     if args.minimal:
+        if args.max_orbit_n is not None:
+            raise _UsageError("--max-orbit-n caps the enumeration; --minimal has its own cap")
         table = orbits.minimal_orbits(args.n, args.q)
     else:
         table = orbits.enumerate_orbits(args.n, args.q, max_n=args.max_orbit_n)
@@ -264,7 +274,7 @@ def _cmd_period(args, started) -> int:
     b = parse_weight_spec(args.weight)
     report = periodicity.analyze_weight_period(b, args.mod, max_terms=args.max_terms)
     params = {"weight": args.weight, "mod": args.mod, "max_terms": args.max_terms}
-    _emit("period", params, report.to_json_dict(), started)
+    _emit("period", params, report, started)
     return EXIT_OK
 
 
@@ -285,17 +295,19 @@ def _cmd_pq(args, started) -> int:
 
 def _cmd_morse(args, started) -> int:
     if args.morse_cmd == "period":
+        if args.pow3 is not None and args.mod is not None:
+            raise _UsageError("morse period takes --mod M or --pow3 R, not both")
         if args.pow3 is not None:
             check = morse.mod3r_period_check(args.pow3, window=args.max_terms)
             params = {"pow3": args.pow3, "max_terms": args.max_terms}
-            _emit("morse period", params, check.to_json_dict(), started)
+            _emit("morse period", params, check, started)
             return EXIT_OK
         if args.mod is None:
             raise _UsageError("morse period needs --mod M or --pow3 R")
         terms = 2048 if args.max_terms is None else args.max_terms
         report = periodicity.analyze_weight_period(morse.MORSE, args.mod, max_terms=terms)
         params = {"mod": args.mod, "max_terms": args.max_terms}
-        _emit("morse period", params, report.to_json_dict(), started)
+        _emit("morse period", params, report, started)
         return EXIT_OK
     if args.morse_cmd == "profile":
         rng = _parse_range(args.range)
@@ -349,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--minimal", action="store_true")
     p.add_argument("--reduce", action="store_true")
-    p.add_argument("--max-orbit-n", type=int, help="default 16 at q = 2, 14 at q = 3, 13 above")
+    p.add_argument("--max-orbit-n", type=int, help="enumeration cap, not with --minimal;"
+                   " default 16 at q = 2, 14 at q = 3, 13 above")
     p.set_defaults(func=_cmd_orbits)
 
     p = sub.add_parser("epsilon", help="orbit carry bits by one or all oracles")

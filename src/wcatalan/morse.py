@@ -214,37 +214,18 @@ class PadicConflict:
 class PadicFit:
     """Digit-by-digit reconstruction of a p-adic integer from valuation data.
 
-    digits are base-p, least significant first, and cover exactly the
-    levels at which the data pinned a unique residue.
+    The digits are base-p, least significant first, and cover exactly the
+    levels at which the data pinned a unique residue: `residue` is their
+    value mod `modulus` = p^certified_depth.
     """
 
     p: int
-    digits: tuple[int, ...]
+    digits_lsb_first: tuple[int, ...]
     certified_depth: int
+    residue: int
+    modulus: int
     consistency: bool
     conflicts: tuple[PadicConflict, ...]
-
-    @property
-    def residue(self) -> int:
-        return sum(d * self.p**i for i, d in enumerate(self.digits))
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.certified_depth
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "digits_lsb_first": list(self.digits),
-            "certified_depth": self.certified_depth,
-            "residue": self.residue,
-            "modulus": self.modulus,
-            "consistency": self.consistency,
-            "conflicts": [
-                {"n": c.n, "expected": c.expected, "observed": c.observed}
-                for c in self.conflicts
-            ],
-        }
 
 
 def _capped_valuation(p: int, value: int, cap: int) -> int:
@@ -300,13 +281,13 @@ def fit_padic_alpha(data, p: int, depth: int) -> PadicFit:
             candidates = [r + d * step for d in range(p)]
             # the least-violating candidate's conflicts, the first on a tie
             fewest = min((_fit_violations(data, p, c, level) for c in candidates), key=len)
-            return PadicFit(p, _digits_of(res, p, lvl), lvl, False, tuple(fewest[:16]))
+            return PadicFit(p, _digits_of(res, p, lvl), lvl, res, p**lvl, False, tuple(fewest[:16]))
         if len(digits) > 1:
             break  # no datum has t >= level: this is the last level
         r += digits[0] * step
         unique = (level, r)
     lvl, res = unique
-    return PadicFit(p, _digits_of(res, p, lvl), lvl, True, ())
+    return PadicFit(p, _digits_of(res, p, lvl), lvl, res, p**lvl, True, ())
 
 
 def _level_digits(data, p: int, level: int) -> tuple[list[tuple[int, int]], list[int]]:
@@ -341,16 +322,8 @@ class Mod3rPeriodCheck:
 
     r: int
     bound: int
-    report: periodicity.PeriodReport
     divides: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "bound": self.bound,
-            "divides": self.divides,
-            "report": self.report.to_json_dict(),
-        }
+    report: periodicity.PeriodReport
 
 
 def mod3r_period_check(r: int, window: int | None = None) -> Mod3rPeriodCheck:
@@ -366,7 +339,7 @@ def mod3r_period_check(r: int, window: int | None = None) -> Mod3rPeriodCheck:
     terms = window if window is not None else max(200, 22 * bound)
     report = periodicity.analyze_weight_period(MORSE, 3**r, max_terms=terms)
     divides = report.found and bound % report.period == 0
-    return Mod3rPeriodCheck(r, bound, report, divides)
+    return Mod3rPeriodCheck(r, bound, divides, report)
 
 
 # One row per conjecture: its statement, p, the expression, the window's
@@ -387,7 +360,8 @@ def conjecture_report(which: str, n_max: int, depth: int = 6) -> dict:
     which is "2adic", "2adic-general:k" (the 2adic row at power k, 2 by
     default), "5adic" or "3adic".  The id, the window, the power and the
     depth are checked before any valuation is computed.  The report always
-    records the window and the first unexplained datum, if any.
+    records the window and the first unexplained datum, if any; the 2adic
+    and 5adic reports hold their `PadicFit` under "fit".
     """
     name, sep, arg = which.partition(":")
     power = 1
@@ -419,7 +393,7 @@ def conjecture_report(which: str, n_max: int, depth: int = 6) -> dict:
         c = min(v - digit_sum(2, n) for n, v in rows)
         fit, checks = _fit_and_check(rows, p, lambda n: digit_sum(2, n) + c, depth)
         zero_rows = [n for n in window if vals[n] is None]
-        report.update(c=c, fit=fit.to_json_dict(), zero_rows=zero_rows)
+        report.update(c=c, fit=fit, zero_rows=zero_rows)
         exceptions = []
     else:
         # xi_5(L_n) = 2 for even n >= 4; the odd rows below the offset 3 are shallow
@@ -428,7 +402,7 @@ def conjecture_report(which: str, n_max: int, depth: int = 6) -> dict:
         shallow = [{"n": n, "valuation": v} for n, v in odd_rows if v < 3]
         fit, checks = _fit_and_check(odd_rows, p, lambda n: 3, depth)
         report.update(even_all_2=not even, even_exceptions=even[:8])
-        report.update(odd_shallow_rows=shallow[:8], fit=fit.to_json_dict())
+        report.update(odd_shallow_rows=shallow[:8], fit=fit)
         exceptions = even + shallow
     report.update(checks)
     report["consistent_over_window"] = (

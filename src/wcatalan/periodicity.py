@@ -135,15 +135,6 @@ class PeriodReport:
     def found(self) -> bool:
         return self.period is not None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "preperiod": self.preperiod,
-            "period": self.period,
-            "window": self.window,
-            "certified": self.certified,
-        }
-
 
 def _divisors(d: int) -> list[int]:
     small, large = [], []

@@ -283,19 +283,6 @@ class ConditionReport:
     clauses: dict[str, bool]
     witnesses: tuple[ConditionWitness, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "holds": self.holds,
-            "scope": self.scope,
-            "window": list(self.window),
-            "clauses": dict(self.clauses),
-            "witnesses": [
-                {"clause": w.clause, "order": w.order, "x": w.x, "value": w.value}
-                for w in self.witnesses
-            ],
-        }
-
 
 # One row per theorem id: whether the id takes a branching argument Q
 # (without one q = 2), then its point clauses and its family clauses, each

@@ -155,15 +155,15 @@ def test_criterion_8_ternary_congruence():
 def test_criterion_9_alpha_fitting():
     rep2 = conjecture_report("2adic", 4096, 6)
     assert rep2["c"] == 2
-    assert rep2["fit"]["certified_depth"] >= 6
-    assert rep2["fit"]["residue"] % 64 == 23
-    assert rep2["fit"]["consistency"]
+    assert rep2["fit"].certified_depth >= 6
+    assert rep2["fit"].residue % 64 == 23
+    assert rep2["fit"].consistency
     assert rep2["first_unexplained"] is None
 
     rep5 = conjecture_report("5adic", 4096, 3)
-    assert rep5["fit"]["certified_depth"] >= 3
-    assert rep5["fit"]["residue"] % 125 == 35
-    assert rep5["fit"]["consistency"]
+    assert rep5["fit"].certified_depth >= 3
+    assert rep5["fit"].residue % 125 == 35
+    assert rep5["fit"].consistency
 
     even = [v for v in rep5["even_exceptions"] if 4 <= v["n"] <= 200]
     assert even == []

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -15,6 +16,9 @@ from hypothesis import strategies as st
 
 from wcatalan import cli, orbits
 from wcatalan.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, main
+from wcatalan.morse import Mod3rPeriodCheck, PadicConflict, PadicFit
+from wcatalan.periodicity import PeriodReport
+from wcatalan.weights import ConditionReport, ConditionWitness
 
 from test_envelopes import CASES, case
 
@@ -434,6 +438,33 @@ class TestMorseSubcommands:
         assert env["result"]["even_all_2"] is True
 
 
+# One command per result type, with the path in its envelope's result of
+# each object that a result dataclass renders, nested ones included.
+_RENDERED = [
+    (["period", "--weight", "preset:morse", "--mod", "7", "--max-terms", "500"],
+     [((), PeriodReport)]),
+    (["morse", "period", "--pow3", "5"],
+     [((), Mod3rPeriodCheck), (("report",), PeriodReport)]),
+    (["check", "--weight", "table:1,0,0,0,0,0,0,0,0,0,0,0", "--theorem", "ps"],
+     [((), ConditionReport), (("witnesses", 0), ConditionWitness),
+      (("witnesses", 7), ConditionWitness)]),
+    (["morse", "fit-alpha", "--which", "2adic-general:2", "--n-max", "64", "--depth", "6"],
+     [((), PadicFit), (("conflicts", 0), PadicConflict)]),
+    (["morse", "report", "--which", "5adic", "--n-max", "200", "--depth", "3"],
+     [(("fit",), PadicFit)]),
+]
+
+
+@pytest.mark.parametrize("argv, rendered", _RENDERED, ids=[" ".join(a) for a, _ in _RENDERED])
+def test_a_result_renders_its_fields_in_declaration_order(capsys, argv, rendered):
+    result = run_json(capsys, *argv)["result"]
+    for path, kind in rendered:
+        obj = result
+        for step in path:
+            obj = obj[step]
+        assert list(obj) == [f.name for f in dataclasses.fields(kind)], (path, kind)
+
+
 class TestExitCodes:
     def test_weight_spec_error(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--weight", "bogus", "--n", "2")
@@ -454,6 +485,33 @@ class TestExitCodes:
     )
     def test_usage_error_prints_no_weight_grammar(self, capsys, argv, message):
         # these printed the weight grammar under a range or option error
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (EXIT_PARSE, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message, worker",
+        [
+            # exited 0 with the mod-27 report, the 7 dropped without a word
+            (["morse", "period", "--mod", "7", "--pow3", "3"],
+             "morse period takes --mod M or --pow3 R, not both",
+             "wcatalan.morse.mod3r_period_check"),
+            # exited 0 with the 16 minimal orbits, at a cap of 3 and of -5 alike
+            (["orbits", "--n", "30", "--minimal", "--max-orbit-n", "3"],
+             "--max-orbit-n caps the enumeration; --minimal has its own cap",
+             "wcatalan.orbits.minimal_orbits"),
+            (["orbits", "--n", "30", "--minimal", "--max-orbit-n", "-5"],
+             "--max-orbit-n caps the enumeration; --minimal has its own cap",
+             "wcatalan.orbits.minimal_orbits"),
+        ],
+        ids=["mod-and-pow3", "minimal-and-cap-3", "minimal-and-cap-minus-5"],
+    )
+    def test_an_ignored_option_is_refused_before_any_work(
+        self, capsys, monkeypatch, argv, message, worker
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work done for a refused option pair")
+
+        monkeypatch.setattr(worker, refuse)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (EXIT_PARSE, "", f"error: {message}\n")
 

@@ -1,5 +1,6 @@
 """The envelope writer: json.dumps(obj, indent=2) bytes, streamed."""
 
+import dataclasses
 import io
 import json
 import time
@@ -10,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcatalan import cli
+from wcatalan.morse import Mod3rPeriodCheck, PadicConflict, PadicFit
+from wcatalan.periodicity import PeriodReport
+from wcatalan.weights import ConditionReport, ConditionWitness
 
 # characters that a re-indent by str.replace could confuse with structure
 TEXT = st.text(st.sampled_from(['\n', '"', "\\", "}", ",", "{", "[", "]", " ", "a", "é", "☃"]))
@@ -57,6 +61,36 @@ def test_writer_refuses_what_json_refuses(obj):
     with pytest.raises(TypeError) as got:
         written(obj)
     assert str(got.value) == str(expected.value)
+
+
+def fields_of(obj) -> dict:
+    """A dataclass as the mapping of its fields, for json.dumps(default=...)."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+PERIOD = PeriodReport(27, 1, 2, 200, True)
+NO_PERIOD = PeriodReport(7, None, None, 10, False)  # None fields
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        PERIOD,
+        NO_PERIOD,
+        Mod3rPeriodCheck(3, 2, True, PERIOD),  # a nested dataclass
+        Mod3rPeriodCheck(4, 6, False, NO_PERIOD),
+        # a tuple of dataclasses, and the empty tuple of a consistent fit
+        PadicFit(2, (1, 1, 0, 0), 4, 3, 16, False,
+                 (PadicConflict(3, 8, 4), PadicConflict(5, 1, 0))),
+        PadicFit(5, (), 0, 0, 1, True, ()),
+        ConditionReport("ps", False, "all-x", (0, 3), {"b0-odd": True, "x": False},
+                        (ConditionWitness("x", None, 0, 2), ConditionWitness("x", 1, 4, -6))),
+        ConditionReport("main", True, "window", (2, 5), {}, ()),
+        {"fit": PadicFit(2, (1,), 1, 1, 2, True, ()), "rows": [PERIOD, None, ()]},
+    ],
+)
+def test_writer_renders_a_dataclass_as_the_mapping_of_its_fields(obj):
+    assert written(obj) == json.dumps(obj, indent=2, default=fields_of)
 
 
 def test_rows_across_batches_match_indented_json_dumps():

@@ -157,6 +157,10 @@ CASES = [
     # a negative cap is malformed input, refused before any enumeration;
     # it exited 4 with "capped at -1 vertices"
     ('orbits --n 0 --max-orbit-n -1', 3, 'error: orbit enumeration cap must be nonnegative, got -1\n', 'e3b0c44298fc1c14'),
+    # the cap applies to the enumeration only; with --minimal both exited 0
+    # with the 16 minimal orbits, which have their own cap
+    ('orbits --n 30 --minimal --max-orbit-n 3', 2, 'error: --max-orbit-n caps the enumeration; --minimal has its own cap\n', 'e3b0c44298fc1c14'),
+    ('orbits --n 30 --minimal --max-orbit-n -5', 2, 'error: --max-orbit-n caps the enumeration; --minimal has its own cap\n', 'e3b0c44298fc1c14'),
     # the default cap depends on q: 14 at q = 3 and 13 at q >= 4; both
     # commands ran with exit 0 while the cap was 16 for every q
     ('orbits --q 3 --n 15', 4, 'error: orbit enumeration capped at 14 vertices (requested 15); raise the cap explicitly to go further\n', 'e3b0c44298fc1c14'),
@@ -210,9 +214,13 @@ CASES = [
     ('pq --weight preset:morse --truncate 3 --mod 1', 3, 'error: modulus must be at least 2, got 1\n', 'e3b0c44298fc1c14'),
     ('morse period --mod 7 --max-terms 200', 0, '', '006ec8dc27bb37c4'),
     ('morse period --pow3 3 --max-terms 300', 0, '', 'a7d7b9e0cbbaef39'),
+    # the default window, max(200, 22 * 2 * 3^(r - 3)) = 396 terms at r = 5
+    ('morse period --pow3 5', 0, '', '259c7abcf039f0f8'),
     ('morse period --pow3 4 --max-terms 0', 3, 'error: need at least one term\n', 'e3b0c44298fc1c14'),
     # a usage error, not a weight spec error: no weight grammar under it
     ('morse period', 2, 'error: morse period needs --mod M or --pow3 R\n', 'e3b0c44298fc1c14'),
+    # both options: this exited 0 with the mod-27 report, the 7 dropped unsaid
+    ('morse period --mod 7 --pow3 3', 2, 'error: morse period takes --mod M or --pow3 R, not both\n', 'e3b0c44298fc1c14'),
     ('morse profile --expr cb-1 --p 2 --range 1..60 --format csv', 0, '', '77f13c616b5e4cf1'),
     ('morse profile --expr cb --p 5 --range 3..330', 0, '', '70273aa04f69f56a'),
     ('morse fit-alpha --which 2adic --n-max 256 --depth 4', 0, '', 'b4bff053a61e2775'),
@@ -231,6 +239,8 @@ CASES = [
     ('morse report --which 2adic-general:4 --n-max 1024 --depth 6', 0, '', 'cb2bf65c31da9438'),
     ('morse fit-alpha --which 2adic --n-max 1024 --depth 6', 0, '', '25db4bfb453309a0'),
     ('morse fit-alpha --which 5adic --n-max 200 --depth 3', 0, '', 'a6a8af29e01a8e6a'),
+    # a failed fit emitted alone: one conflict, at n = 3
+    ('morse fit-alpha --which 2adic-general:2 --n-max 64 --depth 6', 0, '', 'f4c6228d6ecabe78'),
     # the fitter stops above the deepest datum: depth 40 gives the depth-3
     # fit at once (depth 13 took 57 s)
     ('morse fit-alpha --which 5adic --n-max 100 --depth 40', 0, '', 'af5fe02d0b1d924e'),

@@ -8,6 +8,7 @@ from wcatalan.catalan import catalan_number, catalan_series, weighted_catalan_se
 from wcatalan.errors import DomainError
 from wcatalan.morse import (
     MORSE,
+    PadicFit,
     _certified_valuations,
     _expression_values,
     _fit_violations,
@@ -299,7 +300,7 @@ class TestPadicFit:
         assert fit.consistency
         assert fit.certified_depth == 5
         assert fit.residue == 7 % 3**5
-        assert fit.digits == (1, 2, 0, 0, 0)
+        assert fit.digits_lsb_first == (1, 2, 0, 0, 0)
 
     def test_monotone_in_data(self):
         alpha, p = 13, 2
@@ -307,7 +308,7 @@ class TestPadicFit:
         small_fit = fit_padic_alpha(full[:80], p, 4)
         big_fit = fit_padic_alpha(full, p, 4)
         d = small_fit.certified_depth
-        assert big_fit.digits[:d] == small_fit.digits[:d]
+        assert big_fit.digits_lsb_first[:d] == small_fit.digits_lsb_first[:d]
 
     def test_conflicting_data_reported(self):
         # (4, 0) forces alpha odd while (6, 1) and (10, 1) force alpha even
@@ -417,8 +418,8 @@ class TestConjectureReports:
     def test_2adic(self):
         rep = conjecture_report("2adic", 512, 6)
         assert rep["c"] == 2
-        assert rep["fit"]["residue"] % 64 == 23
-        assert rep["fit"]["certified_depth"] >= 6
+        assert rep["fit"].residue % 64 == 23
+        assert rep["fit"].certified_depth >= 6
         assert rep["consistent_over_window"]
         assert rep["first_unexplained"] is None
 
@@ -430,7 +431,7 @@ class TestConjectureReports:
     def test_5adic(self):
         rep = conjecture_report("5adic", 700, 3)
         assert rep["even_all_2"]
-        assert rep["fit"]["residue"] == 35
+        assert rep["fit"].residue == 35
         assert rep["consistent_over_window"]
 
     def test_3adic_pattern(self):
@@ -445,7 +446,8 @@ class TestConjectureReports:
     def test_2adic_generalized_smoke(self):
         rep = conjecture_report("2adic-general:2", 256, 4)
         assert rep["c"] >= 0
-        assert isinstance(rep["fit"]["digits_lsb_first"], list)
+        assert isinstance(rep["fit"], PadicFit)
+        assert rep["fit"].digits_lsb_first == (1, 1, 0, 0)
         assert rep["window"] == [2, 256]
 
     def test_unknown_conjecture(self):
@@ -477,4 +479,4 @@ class TestConjectureReports:
     def test_5adic_fit_is_the_same_past_the_deepest_datum(self):
         deep = conjecture_report("5adic", 100, 40)
         assert deep == conjecture_report("5adic", 100, 3)
-        assert (deep["fit"]["certified_depth"], deep["fit"]["residue"]) == (3, 35)
+        assert (deep["fit"].certified_depth, deep["fit"].residue) == (3, 35)
