@@ -9,7 +9,7 @@ for the residue engine in `series`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, ResourceLimitError
 
@@ -81,8 +81,7 @@ def digit_sum(q: int, n: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class ValueTable:
+class ValueTable(namedtuple("ValueTable", "base_point values")):
     """Window of integer values f(base_point), f(base_point + 1), ...
 
     Windows are immutable; differences and shifts return new windows that
@@ -90,16 +89,15 @@ class ValueTable:
     f(x) -> f(x+1) is plain bookkeeping, not re-evaluation.
     """
 
-    base_point: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.base_point < 0:
+    def __new__(cls, base_point: int, values):
+        if base_point < 0:
             raise DomainError("base point must be nonnegative")
-        values = tuple(self.values)
+        values = tuple(values)
         if not values:
             raise DomainError("value table must be non-empty")
-        object.__setattr__(self, "values", values)
+        return super().__new__(cls, base_point, values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -161,17 +159,16 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(namedtuple("IntPolynomial", "coefficients")):
     """Integer polynomial, ascending coefficients, no trailing zeros."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeffs = list(self.coefficients)
+    def __new__(cls, coefficients):
+        coeffs = list(coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        return super().__new__(cls, tuple(coeffs))
 
     @property
     def degree(self) -> int:

@@ -2,14 +2,14 @@
 
 The binary values come from `kernel`, which checks the arguments and picks
 an engine: a whole series from the Dyck DP or the S-fraction tree, and one
-exact value from the half-length DP.  In the q-ary engine a vertex at
-non-right depth x carries weight b(x); one loop builds the generating
-functions of subtrees bottom-up.  When the modulus has at most 128 bits
-it multiplies and inverts residues through `series`; otherwise it runs
-exactly, with `_convolve` for the products and `arith.series_divide_exact`
-for the inverse, and reduces only the final value.  A weight that is constant on
-the levels an n-vertex tree reaches skips the loop: the value is b(0)^n
-times the q-ary Catalan number.
+exact value from the half-length DP.  They answer q = 2 in the q-ary call
+too.  In the q-ary engine a vertex at non-right depth x carries weight
+b(x); one loop builds the generating functions of subtrees bottom-up.
+When the modulus has at most 128 bits it multiplies and inverts residues
+through `series`; otherwise it runs exactly, with `_convolve` for the
+products and `arith.series_divide_exact` for the inverse, and reduces only
+the final value.  A weight that is constant on the levels an n-vertex tree
+reaches skips the loop: the value is b(0)^n times the q-ary Catalan number.
 """
 
 from __future__ import annotations
@@ -79,10 +79,9 @@ def _convolve(a: list[int], b: list[int], size: int) -> list[int]:
 # residues at 64 / 128 / 192 / 256 bits, in process (Python 3.11, 2-core
 # x86-64 VM, best of 2): at q = 3, n = 240, 1.30-1.46 s against 0.37-0.42 /
 # 0.86-1.15 / 1.47-1.81 / 2.14-2.36 s; at q = 5, n = 200, 1.83 s against
-# 0.44 / 0.94 / 1.66 / 2.53 s; at q = 2, n = 240 (which the binary DP
-# serves in the CLI), 0.53 s against 0.32 / 0.67 / 1.03 / 1.51 s.  Heavier
-# weights move the cut out: 1 + x and 3 - 5x + 2x^2 at q = 3, n = 240 take
-# 3.5 and 7.8 s exactly, against 0.8 s at 128 bits and 1.9-2.5 s at 256.
+# 0.44 / 0.94 / 1.66 / 2.53 s.  Heavier weights move the cut out: 1 + x
+# and 3 - 5x + 2x^2 at q = 3, n = 240 take 3.5 and 7.8 s exactly, against
+# 0.8 s at 128 bits and 1.9-2.5 s at 256.
 _Q_RESIDUE_BITS = 128
 
 
@@ -98,10 +97,12 @@ def q_weighted_catalan(b: WeightFunction, q: int, n: int, modulus: int | None = 
     since the q-1 non-right subtrees descend one level and the right
     subtree stays.  The answer is F_0(n).
 
-    A weight that is constant on 0..n-1 takes the closed form
-    b(0)^n C(qn, n) / ((q-1)n + 1).  Otherwise a modulus of at most
-    `_Q_RESIDUE_BITS` bits runs the subtree-series loop `_q_weighted` on
-    residues; a wider one, or none, runs it exactly and reduces the value.
+    At q = 2 these are the binary trees that the Dyck paths count, so
+    `weighted_catalan` answers.  A weight that is constant on 0..n-1
+    takes the closed form b(0)^n C(qn, n) / ((q-1)n + 1).  Otherwise a
+    modulus of at most `_Q_RESIDUE_BITS` bits runs the subtree-series loop
+    `_q_weighted` on residues; a wider one, or none, runs it exactly and
+    reduces the value.
     """
     if q < 2:
         raise DomainError(f"branching must be at least 2, got {q}")
@@ -111,6 +112,8 @@ def q_weighted_catalan(b: WeightFunction, q: int, n: int, modulus: int | None = 
         raise DomainError(f"modulus must be at least 2, got {modulus}")
     if n == 0:
         return 1
+    if q == 2:
+        return weighted_catalan(b, n, modulus=modulus)
     bv = b.values(0, n)
     if bv.count(bv[0]) == n:
         # every tree has n vertices, so a constant weight c scales each by c^n

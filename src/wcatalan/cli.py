@@ -128,19 +128,22 @@ def _write_json(obj, write, indent: str = "") -> None:
     """Write `obj` through `write` as the bytes of json.dump(obj, out, indent=2).
 
     A `_Table` (the rows of orbits, valuation and morse profile) is written
-    as its list of rows, column by column.  A non-empty list of scalars goes
-    through the C encoder in one call and is re-indented.  A dataclass (the
-    results of check, period and the morse commands) is written as the
+    as its list of rows, column by column.  A record, a named tuple (the
+    results of check, period and the morse commands), is written as the
     mapping of its fields, in declaration order: its fields are its schema.
-    Everything else, the short lists of dicts in morse report among it, is
-    walked here one level at a time, so the document is never held as one
-    string.
+    A non-empty list of scalars goes through the C encoder in one call and
+    is re-indented.  Everything else, the short lists of dicts in morse
+    report among it, is walked here one level at a time, so the document
+    is never held as one string.
     """
     inner = indent + "  "
     if type(obj) in _SCALARS:  # most values walked: they pay one set lookup
         write(_ENCODER.encode(obj))
     elif isinstance(obj, _Table):
         _write_rows(obj, write, indent)
+    elif isinstance(obj, tuple) and hasattr(obj, "_asdict"):
+        # ahead of the tuples: a record is one
+        _write_json(obj._asdict(), write, indent)
     elif isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) <= _SCALARS:
             text = _ENCODER.encode(obj)[1:-1].replace("\n", "\n" + inner)
@@ -159,9 +162,6 @@ def _write_json(obj, write, indent: str = "") -> None:
             _write_json(value, write, inner)
             sep = ",\n" + inner
         write("\n" + indent + "}")
-    elif hasattr(obj, "__dataclass_fields__"):
-        # a dataclass's __init__ sets its fields in declaration order
-        _write_json(vars(obj), write, indent)
     else:
         write(_ENCODER.encode(obj))
 

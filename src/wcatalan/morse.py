@@ -10,7 +10,7 @@ over a window, never truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from . import catalan, kernel, periodicity, series
@@ -146,23 +146,19 @@ def _certified_valuations(
     return vals
 
 
-@dataclass(frozen=True)
-class ValuationProfile:
+class ValuationProfile(
+    namedtuple("ValuationProfile", "expression p weight_id mode n_range valuations value_bits")
+):
     """Per-index p-adic valuations of one expression over a range of n.
 
     The rows are held as columns: `valuations[i]` and `value_bits[i]`
-    belong to n = `n_range[i]`.  A valuation of None marks an exact zero
-    ("infinite"); `value_bits`, the bit lengths of the exact values, is
-    None in residue mode, where no value is computed.
+    belong to n = `n_range[i]`, a range.  A valuation of None marks an
+    exact zero ("infinite"); `value_bits`, the bit lengths of the exact
+    values, is None in residue mode, where no value is computed.  mode is
+    "exact" or "residue".
     """
 
-    expression: str
-    p: int
-    weight_id: str
-    mode: str  # "exact" | "residue"
-    n_range: range
-    valuations: list[int | None]
-    value_bits: list[int] | None
+    __slots__ = ()
 
     def to_csv(self) -> str:
         vals = ["inf" if v is None else str(v) for v in self.valuations]
@@ -203,29 +199,30 @@ def valuation_profile(
     return ValuationProfile(expr, p, weight.describe(), "exact", n_range, vals, bits)
 
 
-@dataclass(frozen=True)
-class PadicConflict:
-    n: int
-    expected: int
-    observed: int
+class PadicConflict(namedtuple("PadicConflict", "n expected observed")):
+    """A datum (n, expected valuation) that the fit's residue r fails.
+
+    observed is xi_p(n - r), capped at the level tested.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PadicFit:
+class PadicFit(
+    namedtuple(
+        "PadicFit",
+        "p digits_lsb_first certified_depth residue modulus consistency conflicts",
+    )
+):
     """Digit-by-digit reconstruction of a p-adic integer from valuation data.
 
     The digits are base-p, least significant first, and cover exactly the
     levels at which the data pinned a unique residue: `residue` is their
-    value mod `modulus` = p^certified_depth.
+    value mod `modulus` = p^certified_depth.  conflicts is a tuple of
+    `PadicConflict`, empty when the fit is consistent.
     """
 
-    p: int
-    digits_lsb_first: tuple[int, ...]
-    certified_depth: int
-    residue: int
-    modulus: int
-    consistency: bool
-    conflicts: tuple[PadicConflict, ...]
+    __slots__ = ()
 
 
 def _capped_valuation(p: int, value: int, cap: int) -> int:
@@ -316,14 +313,13 @@ def _digits_of(residue: int, p: int, depth: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Mod3rPeriodCheck:
-    """Detected period of L_n mod 3^r against the divisor bound 2*3^(r-3)."""
+class Mod3rPeriodCheck(namedtuple("Mod3rPeriodCheck", "r bound divides report")):
+    """Detected period of L_n mod 3^r against the divisor bound 2*3^(r-3).
 
-    r: int
-    bound: int
-    divides: bool
-    report: periodicity.PeriodReport
+    report is the `periodicity.PeriodReport` of the residues.
+    """
+
+    __slots__ = ()
 
 
 def mod3r_period_check(r: int, window: int | None = None) -> Mod3rPeriodCheck:

@@ -25,8 +25,8 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
@@ -124,8 +124,7 @@ def _parens_depth(text: str) -> int:
     return deepest
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitShape:
+class OrbitShape(namedtuple("OrbitShape", "q key")):
     """Canonical unordered rooted tree with at most q children per node.
 
     The key lists each node's children sorted by their own keys, so two
@@ -133,11 +132,11 @@ class OrbitShape:
     agree.  The empty tree has key None.
     """
 
-    q: int
-    key: tuple | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_branching(self.q)
+    def __new__(cls, q: int, key: tuple | None):
+        _check_branching(q)
+        return super().__new__(cls, q, key)
 
     @classmethod
     def empty(cls, q: int = 2) -> "OrbitShape":

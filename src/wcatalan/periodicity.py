@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add
 
 from . import catalan, kernel, series
@@ -43,17 +43,15 @@ DEFAULT_TRUNCATION_BOUND = 4096
 MAX_WINDOW = 1 << 22
 
 
-@dataclass(frozen=True)
-class PQPair:
+class PQPair(namedtuple("PQPair", "P Q truncation")):
     """Numerator and denominator of the depth-n truncated continued fraction.
 
-    Both have constant term 1; for everywhere-nonzero weights
-    deg P = ceil(n/2) and deg Q = ceil((n+1)/2).
+    P and Q are `IntPolynomial`s, n is truncation.  Both have constant
+    term 1; for everywhere-nonzero weights deg P = ceil(n/2) and
+    deg Q = ceil((n+1)/2).
     """
 
-    P: IntPolynomial
-    Q: IntPolynomial
-    truncation: int
+    __slots__ = ()
 
 
 def _gap_chain_sums(bv: list[int], modulus: int | None) -> tuple[list[int], list[int]]:
@@ -116,20 +114,16 @@ def truncation_index(b: WeightFunction, modulus: int, bound: int) -> int | None:
     return kernel.vanishing_height(map(b, range(bound + 1)), modulus)
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(namedtuple("PeriodReport", "modulus preperiod period window certified")):
     """Cycle structure of a residue sequence over an examined window.
 
-    period is None when no verified cycle was found within the window;
-    certified records whether the truncation criterion guarantees eventual
-    periodicity (it never asserts aperiodicity).
+    period (and preperiod) is None when no verified cycle was found within
+    the window of that many terms; certified records whether the truncation
+    criterion guarantees eventual periodicity (it never asserts
+    aperiodicity).
     """
 
-    modulus: int
-    preperiod: int | None
-    period: int | None
-    window: int
-    certified: bool
+    __slots__ = ()
 
     @property
     def found(self) -> bool:
@@ -231,12 +225,13 @@ def detect_period(
     return PeriodReport(modulus, None, None, n, certified)
 
 
-@dataclass(frozen=True)
-class PurePeriodicityCheck:
-    """Sufficient-condition verdict: deg P < deg Q and unit ends of Q mod m."""
+class PurePeriodicityCheck(namedtuple("PurePeriodicityCheck", "sufficient reasons")):
+    """Sufficient-condition verdict: deg P < deg Q and unit ends of Q mod m.
 
-    sufficient: bool
-    reasons: tuple[str, ...]
+    reasons is a tuple of one message per failed condition.
+    """
+
+    __slots__ = ()
 
 
 def pure_periodicity_sufficient(pq: PQPair, modulus: int) -> PurePeriodicityCheck:

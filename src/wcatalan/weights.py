@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import ValueTable, digit_sum, is_prime
 from .errors import DomainError, WeightSpecError
@@ -52,14 +52,16 @@ def _morse_power_coeffs(k: int) -> tuple[int, ...]:
     return tuple(math.comb(2 * k, j) * 2**j for j in range(2 * k + 1))
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Integer weight sequence given by a polynomial or a finite value table."""
+class WeightFunction(
+    namedtuple("WeightFunction", "kind coefficients table label", defaults=(None, None, ""))
+):
+    """Integer weight sequence given by a polynomial or a finite value table.
 
-    kind: str  # "polynomial" | "table" | "preset"
-    coefficients: tuple[int, ...] | None = None
-    table: tuple[int, ...] | None = None
-    label: str = ""
+    kind is "polynomial" or "preset", with ascending coefficients and table
+    None, or "table", with the table and coefficients None.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def polynomial(cls, coefficients, label: str = "") -> "WeightFunction":
@@ -172,17 +174,16 @@ def parse_weight_spec(text: str) -> WeightFunction:
     )
 
 
-@dataclass(frozen=True)
-class EpsilonSequence:
+class EpsilonSequence(namedtuple("EpsilonSequence", "base bits")):
     """Carry sequence of a weight in F(q), or of an orbit's average weight.
 
     For b with q^n | diff^n b everywhere, the n-th difference is constant
     modulo q^(n+1); entry n stores (diff^n b / q^n) mod q as the least
-    nonnegative residue.
+    nonnegative residue.  As a sequence it is its bits, so `_asdict` and
+    `__getnewargs__`, which would read the fields by iterating, name them.
     """
 
-    base: int
-    bits: tuple[int, ...]
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -192,6 +193,12 @@ class EpsilonSequence:
 
     def __iter__(self):
         return iter(self.bits)
+
+    def _asdict(self) -> dict:
+        return {"base": self.base, "bits": self.bits}
+
+    def __getnewargs__(self):
+        return self.base, self.bits
 
 
 def _difference_scan(window, base, exponent, first_order=0, last_order=None):
@@ -259,29 +266,25 @@ def epsilon_of_weight(b: WeightFunction, max_order: int, base: int = 2) -> Epsil
     return _carry_bits(b.as_table(0, len(b.table)), q, max_order, max_order + 1)
 
 
-@dataclass(frozen=True)
-class ConditionWitness:
-    clause: str
-    order: int | None
-    x: int
-    value: int
+class ConditionWitness(namedtuple("ConditionWitness", "clause order x value")):
+    """A failed clause: at order (None for a point clause) and x, the value read."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(
+    namedtuple("ConditionReport", "theorem holds scope window clauses witnesses")
+):
     """Outcome of testing a theorem's hypotheses against a weight.
 
     scope is "all-x" when the verdict is exact over all of Z>=0 (polynomial
     weights, via difference coefficients) and "window" when it only covers
-    the checked range (table weights).
+    the checked range (table weights).  window is (start, stop) of the x
+    checked, stop excluded; clauses maps each clause id to its verdict;
+    witnesses is a tuple of `ConditionWitness`.
     """
 
-    theorem: str
-    holds: bool
-    scope: str
-    window: tuple[int, int]
-    clauses: dict[str, bool]
-    witnesses: tuple[ConditionWitness, ...]
+    __slots__ = ()
 
 
 # One row per theorem id: whether the id takes a branching argument Q

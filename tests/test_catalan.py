@@ -237,6 +237,25 @@ class TestQAry:
         for n in range(11):
             assert q_weighted_catalan(b, 2, n) == weighted_catalan(b, n)
 
+    @pytest.mark.parametrize("m", [None, 7, 2**61, 10**40 + 3])
+    def test_binary_calls_take_the_dyck_kernel(self, monkeypatch, m):
+        # at q = 2 the S-fraction and the q-ary recursion count the same
+        # trees; the recursion, run here as the reference, is not run by the call
+        weights = [MORSE, ONES, WeightFunction.polynomial([3, -5, 2]),
+                   WeightFunction.polynomial([2, 0, -1]),
+                   WeightFunction.from_table([1] * 10 + [2])]
+        loops = {(b, n): catalan._q_weighted(b.values(0, n), 2, n, None)
+                 for b in weights for n in (1, 2, 5, 11)}
+
+        def refused(*args):
+            raise AssertionError("the q-ary loop ran at q = 2")
+
+        monkeypatch.setattr(catalan, "_q_weighted", refused)
+        for (b, n), value in loops.items():
+            expected = value if m is None else value % m
+            assert q_weighted_catalan(b, 2, n, m) == expected, (b, n)
+            assert weighted_catalan(b, n, modulus=m) == expected, (b, n)
+
     @given(st.integers(2, 4), st.integers(0, 5), Q_WEIGHTS, Q_MODULI)
     @settings(max_examples=100, deadline=None)
     def test_against_brute_force(self, q, n, b, m):

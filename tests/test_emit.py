@@ -1,6 +1,5 @@
 """The envelope writer: json.dumps(obj, indent=2) bytes, streamed."""
 
-import dataclasses
 import io
 import json
 import time
@@ -63,9 +62,19 @@ def test_writer_refuses_what_json_refuses(obj):
     assert str(got.value) == str(expected.value)
 
 
-def fields_of(obj) -> dict:
-    """A dataclass as the mapping of its fields, for json.dumps(default=...)."""
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+def as_mappings(obj):
+    """`obj` with each record, nested ones included, as the mapping of its fields.
+
+    json.dumps encodes a record as the tuple it is and never calls
+    `default=`, so the records are turned into dicts before it runs.
+    """
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return {name: as_mappings(getattr(obj, name)) for name in obj._fields}
+    if isinstance(obj, (list, tuple)):
+        return [as_mappings(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: as_mappings(value) for key, value in obj.items()}
+    return obj
 
 
 PERIOD = PeriodReport(27, 1, 2, 200, True)
@@ -77,9 +86,9 @@ NO_PERIOD = PeriodReport(7, None, None, 10, False)  # None fields
     [
         PERIOD,
         NO_PERIOD,
-        Mod3rPeriodCheck(3, 2, True, PERIOD),  # a nested dataclass
+        Mod3rPeriodCheck(3, 2, True, PERIOD),  # a nested record
         Mod3rPeriodCheck(4, 6, False, NO_PERIOD),
-        # a tuple of dataclasses, and the empty tuple of a consistent fit
+        # a tuple of records, and the empty tuple of a consistent fit
         PadicFit(2, (1, 1, 0, 0), 4, 3, 16, False,
                  (PadicConflict(3, 8, 4), PadicConflict(5, 1, 0))),
         PadicFit(5, (), 0, 0, 1, True, ()),
@@ -87,10 +96,12 @@ NO_PERIOD = PeriodReport(7, None, None, 10, False)  # None fields
                         (ConditionWitness("x", None, 0, 2), ConditionWitness("x", 1, 4, -6))),
         ConditionReport("main", True, "window", (2, 5), {}, ()),
         {"fit": PadicFit(2, (1,), 1, 1, 2, True, ()), "rows": [PERIOD, None, ()]},
+        # a record in a tuple, in a list and as a dict value
+        (PERIOD, [NO_PERIOD], {"report": PERIOD}),
     ],
 )
 def test_writer_renders_a_dataclass_as_the_mapping_of_its_fields(obj):
-    assert written(obj) == json.dumps(obj, indent=2, default=fields_of)
+    assert written(obj) == json.dumps(as_mappings(obj), indent=2)
 
 
 def test_rows_across_batches_match_indented_json_dumps():

@@ -4,9 +4,14 @@ Every name a module of `src/wcatalan` or `tests/` imports must be read
 somewhere in that module or be re-exported through its `__all__`.
 `from __future__` imports are directives, not names.  A library module
 with an `__all__` lists in it every public function and class it defines.
+Starting the CLI loads neither `dataclasses` nor `inspect`: each command
+runs in a fresh process, and the two took about 12 ms of its start-up,
+plus 15-18 ms for the classes they built.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +72,20 @@ def test_all_lists_every_public_definition(path):
         and not node.name.startswith("_")
     }
     assert not defined - exported, sorted(defined - exported)
+
+
+def test_cli_start_up_loads_no_dataclasses():
+    # a fresh interpreter, as each command gets: what this one has loaded
+    # proves nothing
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import wcatalan.cli\n"
+        "wcatalan.cli.build_parser()\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(SRC.parent)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "[]\n", done.stdout

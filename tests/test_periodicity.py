@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -322,7 +321,7 @@ class TestDetectPeriod:
 
     def test_json_schema(self):
         report = analyze_weight_period(MORSE, 7, max_terms=100)
-        assert [f.name for f in dataclasses.fields(report)] == [
+        assert list(report._fields) == [
             "modulus",
             "preperiod",
             "period",
